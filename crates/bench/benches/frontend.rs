@@ -5,11 +5,11 @@
 //!
 //! * **Warm-session amortisation** — `elaborate_batch16` typechecks
 //!   and elaborates a 16-program batch of structurally similar
-//!   boundary loops: `cold` gives every program a fresh `TypeArena`
-//!   (the pre-session shape), `warm` threads one arena through the
-//!   whole batch (programs 2..16 intern nothing and answer every
-//!   consistency question from the memo tables), and `tree` is the
-//!   tree elaborator baseline.
+//!   boundary loops: `compiled_warm` runs the compiled front end
+//!   (`elaborate_compiled` over pre-parsed `ExprI`s) with one arena
+//!   threaded through the whole batch (programs 2..16 intern nothing
+//!   and answer every consistency question from the memo tables), and
+//!   `tree` is the tree elaborator baseline.
 //! * **Checker throughput on large types** — `typecheck_calls` checks
 //!   the call-heavy program (one annotation of size 2⁹, 64 call
 //!   sites) with the tree λB checker versus the interned checker
@@ -20,15 +20,13 @@
 //!   Its `interned_warm` row measures the **compiled** front end
 //!   (`elaborate_compiled` over a pre-parsed `ExprI`): annotations are
 //!   interned once at parse time, so warm elaboration never re-walks
-//!   an annotation tree — the per-annotation re-walk was exactly what
-//!   made the old `elaborate_in` row slower than the tree baseline on
-//!   this shape.
+//!   an annotation tree.
 
 use bc_bench::frontend_workload::{BATCH, CALLS, CALL_DEPTH, TOWER};
 use bc_bench::{
     boundary_source, call_heavy_source, parse_source, parse_source_in, wrapper_tower_source,
 };
-use bc_gtlc::{elaborate, elaborate_compiled, elaborate_in};
+use bc_gtlc::{elaborate, elaborate_compiled};
 use bc_lambda_b::typing::{type_of, type_of_interned};
 use bc_syntax::TypeArena;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -52,42 +50,6 @@ fn bench_frontend(c: &mut Criterion) {
             }
         })
     });
-    group.bench_function("elaborate_batch16/cold", |b| {
-        b.iter(|| {
-            for e in &exprs {
-                let mut types = TypeArena::new();
-                black_box(elaborate_in(black_box(e), &mut types).expect("elaborates"));
-            }
-        })
-    });
-    group.bench_function("elaborate_batch16/warm", |b| {
-        let mut types = TypeArena::new();
-        b.iter(|| {
-            for e in &exprs {
-                black_box(elaborate_in(black_box(e), &mut types).expect("elaborates"));
-            }
-        })
-    });
-
-    // Overlay: the warm arena frozen and consulted through a
-    // per-worker overlay — the single-thread overhead the tiered
-    // (base-first) lookup adds to a fully warm front end. Compare
-    // against elaborate_batch16/warm: the difference is the sharding
-    // layer's cost on one core.
-    group.bench_function("elaborate_batch16/overlay", |b| {
-        let mut warm_types = TypeArena::new();
-        for e in &exprs {
-            let _ = elaborate_in(e, &mut warm_types).expect("elaborates");
-        }
-        let base = std::sync::Arc::new(warm_types.freeze());
-        let mut overlay = TypeArena::with_base(base, 1 << 16);
-        b.iter(|| {
-            for e in &exprs {
-                black_box(elaborate_in(black_box(e), &mut overlay).expect("elaborates"));
-            }
-        })
-    });
-
     group.bench_function("typecheck_calls/tree", |b| {
         b.iter(|| black_box(type_of(black_box(&calls_b)).expect("well typed")))
     });
@@ -112,9 +74,8 @@ fn bench_frontend(c: &mut Criterion) {
             black_box(elaborate_compiled(black_box(&tower_i), &mut types).expect("elaborates"))
         })
     });
-    // The same compiled pass on the 16-program batch, for comparison
-    // with the `elaborate_in` warm row above: the gap is the
-    // per-annotation re-walk the intern-at-parse front end removed.
+    // The same compiled pass on the 16-program batch, against the
+    // `elaborate_batch16/tree` row above.
     group.bench_function("elaborate_batch16/compiled_warm", |b| {
         let mut types = TypeArena::new();
         let exprs_i: Vec<_> = (0..BATCH as i64)

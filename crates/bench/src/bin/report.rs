@@ -21,7 +21,7 @@ use bc_bench::{
 };
 use bc_core::compose::compose;
 use bc_core::{CoercionArena, CompileCtx, ComposeCache};
-use bc_gtlc::{elaborate, elaborate_compiled, elaborate_in};
+use bc_gtlc::{elaborate, elaborate_compiled};
 use bc_lambda_b::programs;
 use bc_lambda_b::typing::{type_of, type_of_interned};
 use bc_machine::{cek_b, cek_c, cek_s};
@@ -713,25 +713,28 @@ fn tier_table(metrics: &mut Metrics) {
     println!();
     const REPS: usize = 41;
 
-    // Front end: elaborate the warm 16-program batch against a flat
-    // warm arena versus an overlay over its frozen snapshot.
-    let exprs: Vec<_> = (0..bc_bench::frontend_workload::BATCH as i64)
-        .map(|i| parse_source(&boundary_source(32 + i)))
-        .collect();
+    // Front end: the compiled elaborator (what `Session::compile`
+    // runs) on the warm 16-program batch, parsed once with `parse_in`,
+    // against a flat warm arena versus an overlay over its frozen
+    // snapshot. Every annotation id is below the frozen length, so the
+    // same `ExprI`s are valid in both arenas.
     let mut flat_types = TypeArena::new();
+    let exprs: Vec<_> = (0..bc_bench::frontend_workload::BATCH as i64)
+        .map(|i| parse_source_in(&boundary_source(32 + i), &mut flat_types))
+        .collect();
     for e in &exprs {
-        let _ = elaborate_in(e, &mut flat_types).expect("elaborates");
+        let _ = elaborate_compiled(e, &mut flat_types).expect("elaborates");
     }
     let base = Arc::new(flat_types.freeze());
     let mut overlay_types = TypeArena::with_base(base, 1 << 16);
     let flat = median_ns(REPS, || {
         for e in &exprs {
-            std::hint::black_box(elaborate_in(e, &mut flat_types).expect("elaborates"));
+            std::hint::black_box(elaborate_compiled(e, &mut flat_types).expect("elaborates"));
         }
     });
     let overlay = median_ns(REPS, || {
         for e in &exprs {
-            std::hint::black_box(elaborate_in(e, &mut overlay_types).expect("elaborates"));
+            std::hint::black_box(elaborate_compiled(e, &mut overlay_types).expect("elaborates"));
         }
     });
 
@@ -887,18 +890,6 @@ fn frontend_table(metrics: &mut Metrics) {
             std::hint::black_box(elaborate(e).expect("elaborates"));
         }
     });
-    let cold = median_ns(REPS, || {
-        for e in &exprs {
-            let mut types = TypeArena::new();
-            std::hint::black_box(elaborate_in(e, &mut types).expect("elaborates"));
-        }
-    });
-    let mut warm_types = TypeArena::new();
-    let warm = median_ns(REPS, || {
-        for e in &exprs {
-            std::hint::black_box(elaborate_in(e, &mut warm_types).expect("elaborates"));
-        }
-    });
     // The compiled front end on the same batch: sources pre-parsed
     // into `ExprI` (annotations interned at parse time), the timed
     // region is pure elaboration on ids — the path `Session::compile`
@@ -923,11 +914,9 @@ fn frontend_table(metrics: &mut Metrics) {
     let check_interned = median_ns(REPS, || {
         std::hint::black_box(type_of_interned(&calls_b, &mut check_types).expect("well typed"));
     });
-    // The tower's interned row runs the compiled front end: the old
-    // `elaborate_in` row re-interned every annotation tree per pass
-    // (an O(size) walk on an annotation-dominated shape — *slower*
-    // than the tree elaborator's Rc clones); `parse_in` interns each
-    // annotation once, and warm `elaborate_compiled` never walks one.
+    // The tower's interned row runs the compiled front end: `parse_in`
+    // interns each annotation once, and warm `elaborate_compiled`
+    // never walks one.
     let mut tower_types = TypeArena::new();
     let tower_i = parse_source_in(&wrapper_tower_source(TOWER), &mut tower_types);
     let _ = elaborate_compiled(&tower_i, &mut tower_types);
@@ -938,32 +927,25 @@ fn frontend_table(metrics: &mut Metrics) {
         std::hint::black_box(elaborate_compiled(&tower_i, &mut tower_types).expect("elaborates"));
     });
 
-    println!("| workload | tree | interned cold | interned warm |");
-    println!("|----------|------|---------------|---------------|");
+    println!("| workload | tree | interned warm |");
+    println!("|----------|------|---------------|");
     println!(
-        "| elaborate 16-program batch | {:.1} µs | {:.1} µs | {:.1} µs |",
+        "| elaborate 16-program batch (compiled) | {:.1} µs | {:.1} µs |",
         tree / 1e3,
-        cold / 1e3,
-        warm / 1e3
-    );
-    println!(
-        "| elaborate 16-program batch (compiled, warm) | — | — | {:.1} µs |",
         compiled_warm / 1e3
     );
     println!(
-        "| typecheck call-heavy (2⁹-node annotation, 64 sites) | {:.1} µs | — | {:.1} µs |",
+        "| typecheck call-heavy (2⁹-node annotation, 64 sites) | {:.1} µs | {:.1} µs |",
         check_tree / 1e3,
         check_interned / 1e3
     );
     println!(
-        "| elaborate wrapper tower (annotation-dominated) | {:.1} µs | — | {:.1} µs |",
+        "| elaborate wrapper tower (annotation-dominated, compiled) | {:.1} µs | {:.1} µs |",
         tower_tree / 1e3,
         tower_interned / 1e3
     );
     println!();
     metrics.push(("frontend/elaborate_batch16/tree_ns".into(), tree));
-    metrics.push(("frontend/elaborate_batch16/cold_ns".into(), cold));
-    metrics.push(("frontend/elaborate_batch16/warm_ns".into(), warm));
     metrics.push((
         "frontend/elaborate_batch16/compiled_warm_ns".into(),
         compiled_warm,

@@ -108,7 +108,7 @@ pub struct AuditRecord {
     pub worker: usize,
     /// Base epoch the worker served under.
     pub epoch: u64,
-    /// Engine slug (`"MachineS"`, `"LambdaB"`, …). A static string:
+    /// Engine slug (`"MachineS"`, `"LambdaS"`, …). A static string:
     /// the engine set is closed, so the per-job record costs no
     /// allocation here.
     pub engine: &'static str,

@@ -8,19 +8,22 @@
 //!
 //! Flags:
 //! * `--engine {b|c|s|machine-b|machine-c|machine-s}` — execution
-//!   engine (default `machine-s`);
+//!   engine (default `machine-s`); `b` and `c` are the λB/λC
+//!   small-step reference semantics, which are test oracles rather
+//!   than session engines and are called directly;
 //! * `--trace` — print every λS reduction step;
 //! * `--fuel N` — step bound (default 1,000,000).
 
 use std::process::ExitCode;
 
-use blame_coercion::translate::bisim::Observation;
-use blame_coercion::{Engine, RunError, Session};
+use blame_coercion::machine::metrics::Metrics;
+use blame_coercion::translate::bisim::{observe_b, observe_c, Observation};
+use blame_coercion::{lambda_b, lambda_c, Engine, RunError, Session};
 
+/// The `--engine` names that select a session [`Engine`]; `b` and `c`
+/// are handled separately as direct oracle calls.
 fn parse_engine(name: &str) -> Option<Engine> {
     match name {
-        "b" => Some(Engine::LambdaB),
-        "c" => Some(Engine::LambdaC),
         "s" => Some(Engine::LambdaS),
         "machine-b" => Some(Engine::MachineB),
         "machine-c" => Some(Engine::MachineC),
@@ -30,7 +33,7 @@ fn parse_engine(name: &str) -> Option<Engine> {
 }
 
 fn main() -> ExitCode {
-    let mut engine = Engine::MachineS;
+    let mut engine = "machine-s".to_owned();
     let mut trace = false;
     let mut fuel: u64 = 1_000_000;
     let mut input: Option<String> = None;
@@ -38,9 +41,11 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--engine" => match args.next().as_deref().and_then(parse_engine) {
-                Some(e) => engine = e,
-                None => {
+            "--engine" => match args.next() {
+                Some(e) if matches!(e.as_str(), "b" | "c") || parse_engine(&e).is_some() => {
+                    engine = e
+                }
+                _ => {
                     eprintln!("usage: --engine {{b|c|s|machine-b|machine-c|machine-s}}");
                     return ExitCode::FAILURE;
                 }
@@ -115,25 +120,59 @@ fn main() -> ExitCode {
         }
     }
 
-    let report = match session.run(&program, engine) {
-        Ok(r) => r,
-        Err(RunError::FuelExhausted { steps, .. }) => {
-            eprintln!("fuel exhausted after {steps} steps (raise with --fuel N)");
-            return ExitCode::FAILURE;
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+    let fuel_exhausted = |steps: u64| {
+        eprintln!("fuel exhausted after {steps} steps (raise with --fuel N)");
+        ExitCode::FAILURE
     };
-    println!("result ({engine}): {}", report.observation);
-    println!("steps: {}", report.steps);
-    if let Some(metrics) = &report.metrics {
+    let failed = |e: &dyn std::fmt::Display| {
+        eprintln!("{e}");
+        ExitCode::FAILURE
+    };
+    // The λB/λC small-step oracles run on the program's tree views;
+    // every other name is a session engine.
+    let (label, observation, steps, metrics): (String, Observation, u64, Option<Metrics>) =
+        match engine.as_str() {
+            "b" => match lambda_b::eval::run(&session.lambda_b(&program), fuel) {
+                Ok(r) => (
+                    "λB (small-step)".into(),
+                    observe_b(&r.outcome),
+                    r.steps,
+                    None,
+                ),
+                Err(lambda_b::eval::RunError::FuelExhausted { steps, .. }) => {
+                    return fuel_exhausted(steps)
+                }
+                Err(e) => return failed(&e),
+            },
+            "c" => match lambda_c::eval::run(&session.lambda_c(&program), fuel) {
+                Ok(r) => (
+                    "λC (small-step)".into(),
+                    observe_c(&r.outcome),
+                    r.steps,
+                    None,
+                ),
+                Err(lambda_c::eval::RunError::FuelExhausted { steps, .. }) => {
+                    return fuel_exhausted(steps)
+                }
+                Err(e) => return failed(&e),
+            },
+            name => {
+                let engine = parse_engine(name).expect("validated while parsing flags");
+                match session.run(&program, engine) {
+                    Ok(r) => (engine.to_string(), r.observation, r.steps, r.metrics),
+                    Err(RunError::FuelExhausted { steps, .. }) => return fuel_exhausted(steps),
+                    Err(e) => return failed(&e),
+                }
+            }
+        };
+    println!("result ({label}): {observation}");
+    println!("steps: {steps}");
+    if let Some(metrics) = &metrics {
         println!(
             "space: peak frames {}, peak coercion frames {}, peak coercion size {}",
             metrics.peak_frames, metrics.peak_cast_frames, metrics.peak_cast_size
         );
-        if engine == Engine::MachineS {
+        if engine == "machine-s" {
             // The compiled fast path: the pipeline stores the lowered
             // term IR, so runs intern nothing and answer repeated
             // merges from the compose cache.
@@ -144,7 +183,7 @@ fn main() -> ExitCode {
             );
         }
     }
-    if let Observation::Blame(p) = report.observation {
+    if let Observation::Blame(p) = observation {
         if let Some(msg) = program.explain_blame(p) {
             eprintln!("{msg}");
         }

@@ -1,12 +1,14 @@
 //! Quickstart: compile gradually-typed programs into one session,
-//! inspect the intermediate representations, run on every engine, and
-//! watch the second program reuse the first one's interned state.
+//! inspect the intermediate representations, run on every engine and
+//! on the λB/λC reference oracles, and watch the second program reuse
+//! the first one's interned state.
 //!
 //! ```sh
 //! cargo run --example quickstart
 //! ```
 
-use blame_coercion::{Engine, Session};
+use blame_coercion::translate::bisim::{observe_b, observe_c};
+use blame_coercion::{lambda_b, lambda_c, Engine, Session};
 
 fn main() {
     // A gradually-typed program: `inc` is dynamically typed (its
@@ -30,9 +32,25 @@ fn main() {
     println!("λS term:   {}", session.lambda_s(&program));
     println!();
 
-    // All six engines implement the same semantics; the run path
-    // returns Result, so fuel exhaustion would be a typed error, not
-    // a panic or a sentinel.
+    // The λB and λC small-step relations are the reference semantics:
+    // test oracles, called directly on the program's tree views.
+    let b = lambda_b::eval::run(&session.lambda_b(&program), 1_000_000).expect("terminates");
+    println!(
+        "{:<20} => {} ({} steps)",
+        "λB (small-step)",
+        observe_b(&b.outcome),
+        b.steps
+    );
+    let c = lambda_c::eval::run(&session.lambda_c(&program), 1_000_000).expect("terminates");
+    println!(
+        "{:<20} => {} ({} steps)",
+        "λC (small-step)",
+        observe_c(&c.outcome),
+        c.steps
+    );
+    // The four session engines implement the same semantics; the run
+    // path returns Result, so fuel exhaustion would be a typed error,
+    // not a panic or a sentinel.
     for engine in Engine::ALL {
         let report = session.run(&program, engine).expect("terminates");
         println!(

@@ -12,7 +12,7 @@
 //! | [`lambda_c`] | the coercion calculus λC (Fig. 3) |
 //! | [`core`] | **λS**, the space-efficient coercion calculus (Fig. 5): the composition operator `s # t`, the hash-consing [`core::arena`] — interned `CoercionId` handles with O(1) equality and a memoizing, second-chance-evicting `ComposeCache` — and the compiled term IR [`core::sterm`] whose `Coerce` nodes are `Copy` ids |
 //! | [`translate`] | the translations `\|·\|BC`, `\|·\|CB`, `\|·\|CS` (Figs. 4, 6) — with arena-threading `*_in` variants — executable bisimulations, the Fundamental Property of Casts |
-//! | [`gtlc`] | a gradually-typed surface language: parser, gradual type checker, cast insertion — with an interned fast path (`elaborate_in`) that infers, checks consistency, and joins on `TypeId`s against a shared `TypeArena` |
+//! | [`gtlc`] | a gradually-typed surface language: parser, gradual type checker, cast insertion — the tree elaborator (`elaborate`), kept as the oracle, and the production front end (`parse_in` + `elaborate_compiled`) that interns annotations at parse time and infers, checks consistency, and joins on `TypeId`s against a shared `TypeArena`, emitting compiled λB directly |
 //! | [`machine`] | CEK machines for all three calculi; the λS machine executes the compiled IR — frames hold interned coercions, merges go through the compose cache, and boundary crossings intern nothing (reported per run by `Metrics::reuse`) — running boundary-crossing tail calls in constant space |
 //! | [`baselines`] | Siek–Wadler 2010 threesomes and Garcia 2013 supercoercions (with interned-coercion erasure) |
 //!
@@ -26,10 +26,13 @@
 //! [`Program`] handles that *share* them — N programs compiled into
 //! one session intern each distinct coercion, memoize each
 //! composition, and answer each subtyping question exactly once
-//! between them. Any of six execution engines runs a program;
-//! the run path returns `Result<RunReport, RunError>`, so fuel
-//! exhaustion and ill-typedness are typed errors, never panics or
-//! sentinel observations.
+//! between them. Any of four resumable execution engines ([`Engine`]:
+//! the λB, λC, and λS CEK machines and the compiled λS small-step)
+//! runs a program; the run path returns `Result<RunReport, RunError>`,
+//! so fuel exhaustion and ill-typedness are typed errors, never panics
+//! or sentinel observations. The λB and λC small-step relations are
+//! reference semantics: tests call them directly as oracles
+//! (`lambda_b::eval::run(&session.lambda_b(&program), fuel)`).
 //!
 //! # Quickstart
 //!

@@ -83,7 +83,9 @@
 //! state is worker-local by design — machine values share `Rc` spines
 //! (an `Arc` spine taxes every step; see `bc_core::sterm`) — so a
 //! parked job resumes on the worker that started it; only its
-//! *result* travels.
+//! *result* travels. Every [`Engine`] is resumable (the λB/λC tree
+//! small-step oracles are deliberately not engines), so whatever
+//! engine a job names, it yields at every slice boundary.
 //!
 //! On top of the slice boundaries the front end gets three controls:
 //!
@@ -1256,8 +1258,6 @@ struct PoolShared {
 /// path).
 fn engine_name(engine: Engine) -> &'static str {
     match engine {
-        Engine::LambdaB => "LambdaB",
-        Engine::LambdaC => "LambdaC",
         Engine::LambdaS => "LambdaS",
         Engine::MachineB => "MachineB",
         Engine::MachineC => "MachineC",

@@ -51,19 +51,22 @@ use bc_lambda_c::CArena;
 use bc_machine::metrics::Metrics;
 use bc_syntax::intern::FrozenTypes;
 use bc_syntax::{Label, Type, TypeArena, TypeId};
-use bc_translate::bisim::{observe_b, observe_c, observe_s_compiled, Observation};
+use bc_translate::bisim::{observe_s_compiled, Observation};
 use bc_translate::{
     term_b_to_c, term_b_to_c_compiled, term_c_to_s_from_compiled, CNormalizer, CNormalizerStats,
 };
 
-/// Which semantics executes the program.
+/// Which semantics executes the program: the four resumable engines,
+/// every one of which runs in bounded fuel slices.
+///
+/// The tree-rewriting λB and λC small-step relations (Figures 1 and 3)
+/// are reference semantics, not serving engines, so no variant names
+/// them: call them directly as oracles, e.g.
+/// `bc_lambda_b::eval::run(&session.lambda_b(&program), fuel)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
-    /// Small-step reduction in the blame calculus (Figure 1).
-    LambdaB,
-    /// Small-step reduction in the coercion calculus (Figure 3).
-    LambdaC,
-    /// Small-step reduction in the space-efficient calculus (Figure 5).
+    /// Small-step reduction in the space-efficient calculus (Figure 5),
+    /// on the compiled IR.
     LambdaS,
     /// The λB CEK machine (leaks on boundary-crossing tail calls).
     MachineB,
@@ -75,9 +78,7 @@ pub enum Engine {
 
 impl Engine {
     /// All engines, in a fixed order.
-    pub const ALL: [Engine; 6] = [
-        Engine::LambdaB,
-        Engine::LambdaC,
+    pub const ALL: [Engine; 4] = [
         Engine::LambdaS,
         Engine::MachineB,
         Engine::MachineC,
@@ -88,14 +89,12 @@ impl Engine {
 impl fmt::Display for Engine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
-            Engine::LambdaB => "λB (small-step)",
-            Engine::LambdaC => "λC (small-step)",
             Engine::LambdaS => "λS (small-step)",
             Engine::MachineB => "λB (CEK machine)",
             Engine::MachineC => "λC (CEK machine)",
             Engine::MachineS => "λS (CEK machine)",
         };
-        f.write_str(name)
+        f.pad(name)
     }
 }
 
@@ -161,21 +160,17 @@ fn ill_typed(detail: impl fmt::Display) -> RunError {
     RunError::IllTyped(Diagnostic::unlocated(detail.to_string()))
 }
 
-/// Maps a small-step engine's typed error into the session-level
-/// [`RunError`]. One definition for all three calculi (their `RunError`
-/// enums are distinct types with the same session-relevant shape);
-/// small-step runs carry no machine metrics, mirroring
+/// Maps the λS small-step engine's typed error into the session-level
+/// [`RunError`]; small-step runs carry no machine metrics, mirroring
 /// [`RunReport::metrics`].
-macro_rules! small_step_run_error {
-    ($calculus:ident) => {
-        |e| match e {
-            $calculus::eval::RunError::FuelExhausted { steps, .. } => RunError::FuelExhausted {
-                steps,
-                metrics: None,
-            },
-            $calculus::eval::RunError::IllTyped(e) => ill_typed(e),
-        }
-    };
+fn lambda_s_run_error(e: bc_core::eval::RunError) -> RunError {
+    match e {
+        bc_core::eval::RunError::FuelExhausted { steps, .. } => RunError::FuelExhausted {
+            steps,
+            metrics: None,
+        },
+        bc_core::eval::RunError::IllTyped(e) => ill_typed(e),
+    }
 }
 
 /// One hop of a session's fork history: an ancestor session's
@@ -1026,84 +1021,16 @@ impl Session {
         engine: Engine,
         fuel: u64,
     ) -> Result<RunReport, RunError> {
-        assert_eq!(
-            program.session, self.id,
-            "program was compiled by a different Session: \
-             its ids belong to another arena id-space"
-        );
+        // One run path: an unsliced run is a single slice holding all
+        // the fuel, and a slice covering the remaining fuel never parks.
         let started = Instant::now();
-        match engine {
-            Engine::LambdaB => {
-                // The λB small-step engine rewrites trees; materialise
-                // the (lazily decompiled) tree view first.
-                let lambda_b = self.lambda_b(program);
-                let r = bc_lambda_b::eval::run(&lambda_b, fuel)
-                    .map_err(small_step_run_error!(bc_lambda_b))?;
-                Ok(RunReport {
-                    observation: observe_b(&r.outcome),
-                    steps: r.steps,
-                    metrics: None,
-                    elapsed: started.elapsed(),
-                })
-            }
-            Engine::LambdaC => {
-                let lambda_c = self.lambda_c(program);
-                let r = bc_lambda_c::eval::run(&lambda_c, fuel)
-                    .map_err(small_step_run_error!(bc_lambda_c))?;
-                Ok(RunReport {
-                    observation: observe_c(&r.outcome),
-                    steps: r.steps,
-                    metrics: None,
-                    elapsed: started.elapsed(),
-                })
-            }
-            Engine::LambdaS => {
-                // λS small-steps on the compiled IR directly: merges
-                // go through the session's compose cache and no tree
-                // is ever materialised (the tree-rewriting
-                // `bc_core::eval::run` survives as this engine's
-                // property-test oracle).
-                let mut arena = self.arena.borrow_mut();
-                let mut cache = self.cache.borrow_mut();
-                let mut types = self.types.borrow_mut();
-                let r = bc_core::eval::run_compiled(
-                    &program.lambda_s_compiled,
-                    fuel,
-                    &mut arena,
-                    &mut cache,
-                    &mut types,
-                )
-                .map_err(small_step_run_error!(bc_core))?;
-                Ok(RunReport {
-                    observation: observe_s_compiled(&r.outcome, &arena),
-                    steps: r.steps,
-                    metrics: None,
-                    elapsed: started.elapsed(),
-                })
-            }
-            Engine::MachineB => machine_report(
-                bc_machine::cek_b::run(&self.lambda_b(program), fuel),
-                started.elapsed(),
-            ),
-            Engine::MachineC => machine_report(
-                bc_machine::cek_c::run(&self.lambda_c(program), fuel),
-                started.elapsed(),
-            ),
-            Engine::MachineS => {
-                // The compiled fast path: the IR's coercions are
-                // already interned in the shared arena, so each run
-                // performs zero tree interning and merges through the
-                // session-wide compose cache.
-                let mut arena = self.arena.borrow_mut();
-                let mut cache = self.cache.borrow_mut();
-                let r = bc_machine::cek_s::run_compiled_in(
-                    &program.lambda_s_compiled,
-                    &mut arena,
-                    &mut cache,
-                    fuel,
-                );
-                machine_report(r, started.elapsed())
-            }
+        let paused = self.start_run(program, engine, fuel)?;
+        match self.resume_slice(paused, fuel) {
+            SliceOutcome::Done(r) => r.map(|report| RunReport {
+                elapsed: started.elapsed(),
+                ..report
+            }),
+            SliceOutcome::Parked(_) => unreachable!("a slice of the whole fuel cannot park"),
         }
     }
 
@@ -1116,20 +1043,17 @@ impl Session {
     /// Slicing is observationally invisible (property-tested in
     /// `tests/sched.rs`): the final report — observation, step count,
     /// space peaks, fuel-exhaustion accounting — is identical to the
-    /// unsliced run, because every engine checks fuel before each step
-    /// in both modes and the slice bound only chooses where control
-    /// returns. The four compiled/machine engines
-    /// ([`Engine::MachineB`], [`Engine::MachineC`], [`Engine::MachineS`],
-    /// [`Engine::LambdaS`]) park for real; the two tree small-step
-    /// oracles ([`Engine::LambdaB`], [`Engine::LambdaC`]) have no
-    /// resumable state worth building and run to completion inside
-    /// their first slice (documented, deliberate — they exist as
-    /// property-test oracles, not serving engines).
+    /// unsliced run by construction, because [`Session::run_with_fuel`]
+    /// is this entry plus one slice holding all the fuel, and every
+    /// engine checks fuel before each step, so the slice bound only
+    /// chooses where control returns. Every [`Engine`] parks for real,
+    /// so a deadline or `cancel()` checked between slices takes effect
+    /// within one slice.
     ///
     /// # Errors
     ///
     /// [`RunError::IllTyped`] if a loaded term lied about its type
-    /// (checked up front, exactly as the unsliced entry does).
+    /// (checked up front).
     ///
     /// # Panics
     ///
@@ -1152,12 +1076,18 @@ impl Session {
             Engine::MachineC => {
                 PausedInner::MachineC(bc_machine::cek_c::start(&self.lambda_c(program), fuel))
             }
+            // The compiled fast path: the IR's coercions are already
+            // interned in the shared arena, so a run performs zero
+            // tree interning and merges through the session-wide
+            // compose cache.
             Engine::MachineS => PausedInner::MachineS(bc_machine::cek_s::start_compiled_in(
                 &program.lambda_s_compiled,
                 &self.arena.borrow(),
                 &self.cache.borrow(),
                 fuel,
             )),
+            // λS small-steps on the compiled IR directly; the
+            // tree-rewriting `bc_core::eval::run` is its oracle.
             Engine::LambdaS => {
                 let mut arena = self.arena.borrow_mut();
                 let mut types = self.types.borrow_mut();
@@ -1168,17 +1098,9 @@ impl Session {
                         &mut arena,
                         &mut types,
                     )
-                    .map_err(small_step_run_error!(bc_core))?,
+                    .map_err(lambda_s_run_error)?,
                 )
             }
-            // The tree oracles rewrite whole terms with no separable
-            // machine state: they run unsliced inside the first
-            // resume_slice call.
-            Engine::LambdaB | Engine::LambdaC => PausedInner::Unsliced {
-                program: Box::new(program.clone()),
-                engine,
-                fuel,
-            },
         };
         Ok(PausedRun {
             inner,
@@ -1241,25 +1163,16 @@ impl Session {
                 let mut cache = self.cache.borrow_mut();
                 match bc_core::eval::resume_compiled(p, slice, &mut arena, &mut cache) {
                     bc_core::eval::SliceC::Done(r) => {
-                        SliceOutcome::Done(r.map_err(small_step_run_error!(bc_core)).map(|r| {
-                            RunReport {
-                                observation: observe_s_compiled(&r.outcome, &arena),
-                                steps: r.steps,
-                                metrics: None,
-                                elapsed: active + slice_started.elapsed(),
-                            }
+                        SliceOutcome::Done(r.map_err(lambda_s_run_error).map(|r| RunReport {
+                            observation: observe_s_compiled(&r.outcome, &arena),
+                            steps: r.steps,
+                            metrics: None,
+                            elapsed: active + slice_started.elapsed(),
                         }))
                     }
                     bc_core::eval::SliceC::Parked(p) => parked(PausedInner::LambdaS(p)),
                 }
             }
-            PausedInner::Unsliced {
-                program,
-                engine,
-                fuel,
-                // The unsliced oracles run whole inside this slice, so
-                // run_with_fuel's own measurement is the active time.
-            } => SliceOutcome::Done(self.run_with_fuel(&program, engine, fuel)),
         }
     }
 
@@ -1478,7 +1391,6 @@ impl PausedRun {
             PausedInner::MachineC(p) => p.steps(),
             PausedInner::MachineS(p) => p.steps(),
             PausedInner::LambdaS(p) => p.steps(),
-            PausedInner::Unsliced { .. } => 0,
         }
     }
 }
@@ -1488,14 +1400,6 @@ enum PausedInner {
     MachineC(bc_machine::cek_c::Paused),
     MachineS(bc_machine::cek_s::Paused),
     LambdaS(bc_core::eval::PausedC),
-    /// Tree small-step oracles: no resumable state, run unsliced on
-    /// the first resume. The `Program` handle is boxed so the cold
-    /// oracle path doesn't inflate every parked machine state.
-    Unsliced {
-        program: Box<Program>,
-        engine: Engine,
-        fuel: u64,
-    },
 }
 
 /// What one [`Session::resume_slice`] call produced.
@@ -1547,10 +1451,8 @@ mod tests {
                  in even 10",
             )
             .expect("compiles");
-        let expected = session
-            .run(&program, Engine::LambdaB)
-            .expect("runs")
-            .observation;
+        // The λB small-step oracle, called directly.
+        let expected = bc_translate::bisim::observe_run_b(&session.lambda_b(&program), 1_000_000);
         for engine in Engine::ALL {
             assert_eq!(
                 session.run(&program, engine).expect("runs").observation,

@@ -7,16 +7,19 @@
 //!   synthesis on ids);
 //! * λS: `styping::type_of_interned(compile_term(M)) ≡ type_of(M)` —
 //!   the machine-ready IR is checked directly, never decompiled;
-//! * GTLC: `elaborate_in ≡ elaborate` — same λB term, same type, same
-//!   blame spans, and byte-identical `Diagnostic`s on rejection.
+//! * GTLC: `elaborate_compiled ≡ elaborate` — the production
+//!   elaborator's compiled λB decompiles to the tree elaborator's
+//!   term, with the same type, the same blame spans, and
+//!   byte-identical `Diagnostic`s on rejection.
 //!
 //! Each case runs its comparison twice against the same arena, so the
 //! warm path (every verdict a memo hit, every annotation already
 //! interned) is exercised as densely as the cold one.
 
-use bc_gtlc::ast::{Expr, ExprKind};
+use bc_gtlc::ast::{Expr, ExprI, ExprKind};
 use bc_gtlc::diagnostics::Span;
-use bc_gtlc::{elaborate, elaborate_in};
+use bc_gtlc::{elaborate, elaborate_compiled};
+use bc_lambda_b::bterm::decompile;
 use bc_syntax::{BaseType, Ground, Label, Op, Type, TypeArena};
 use bc_testkit::Gen;
 use proptest::prelude::*;
@@ -292,18 +295,72 @@ impl ExprGen {
     }
 }
 
+/// Interns a generated expression's annotations into `types`: the
+/// [`ExprI`] that `parse_in` would have built for the same source.
+fn intern_expr(expr: &Expr, types: &mut TypeArena) -> ExprI {
+    let sub = |e: &Expr, types: &mut TypeArena| Box::new(intern_expr(e, types));
+    let kind = match &expr.kind {
+        ExprKind::Int(n) => ExprKind::Int(*n),
+        ExprKind::Bool(b) => ExprKind::Bool(*b),
+        ExprKind::Var(x) => ExprKind::Var(x.clone()),
+        ExprKind::Lam { param, ty, body } => ExprKind::Lam {
+            param: param.clone(),
+            ty: types.intern(ty),
+            body: sub(body, types),
+        },
+        ExprKind::App(f, a) => ExprKind::App(sub(f, types), sub(a, types)),
+        ExprKind::Prim(op, args) => {
+            ExprKind::Prim(*op, args.iter().map(|a| intern_expr(a, types)).collect())
+        }
+        ExprKind::If(c, t, e) => ExprKind::If(sub(c, types), sub(t, types), sub(e, types)),
+        ExprKind::Let {
+            name,
+            ty,
+            bound,
+            body,
+        } => ExprKind::Let {
+            name: name.clone(),
+            ty: ty.as_ref().map(|t| types.intern(t)),
+            bound: sub(bound, types),
+            body: sub(body, types),
+        },
+        ExprKind::Letrec {
+            name,
+            param,
+            param_ty,
+            result_ty,
+            fun_body,
+            body,
+        } => ExprKind::Letrec {
+            name: name.clone(),
+            param: param.clone(),
+            param_ty: types.intern(param_ty),
+            result_ty: types.intern(result_ty),
+            fun_body: sub(fun_body, types),
+            body: sub(body, types),
+        },
+        ExprKind::Ascribe(inner, ty) => ExprKind::Ascribe(sub(inner, types), types.intern(ty)),
+    };
+    Expr::new(kind, expr.span)
+}
+
 fn assert_elaborations_equivalent(expr: &Expr, types: &mut TypeArena) {
     let tree = elaborate(expr);
-    let interned = elaborate_in(expr, types);
-    match (tree, interned) {
-        (Ok(p), Ok(pi)) => {
-            assert_eq!(pi.term, p.term, "elaborated terms diverged");
-            assert_eq!(types.resolve(pi.ty), p.ty, "program types diverged");
-            assert_eq!(pi.blame_spans, p.blame_spans, "blame spans diverged");
+    let expr_i = intern_expr(expr, types);
+    let compiled = elaborate_compiled(&expr_i, types);
+    match (tree, compiled) {
+        (Ok(p), Ok(pc)) => {
+            assert_eq!(
+                decompile(&pc.term, types),
+                p.term,
+                "elaborated terms diverged"
+            );
+            assert_eq!(types.resolve(pc.ty), p.ty, "program types diverged");
+            assert_eq!(pc.blame_spans, p.blame_spans, "blame spans diverged");
         }
         (Err(a), Err(b)) => assert_eq!(a, b, "diagnostics diverged"),
-        (tree, interned) => {
-            panic!("verdicts diverged: tree {tree:?}, interned {interned:?}")
+        (tree, compiled) => {
+            panic!("verdicts diverged: tree {tree:?}, compiled {compiled:?}")
         }
     }
 }
@@ -383,8 +440,8 @@ proptest! {
         assert_s_equivalent(&term, &mut ctx);
     }
 
-    /// GTLC: `elaborate_in ≡ elaborate` on random surface expressions
-    /// (well- and ill-typed alike), warm and cold.
+    /// GTLC: `elaborate_compiled ≡ elaborate` on random surface
+    /// expressions (well- and ill-typed alike), cold and warm.
     #[test]
     fn elaborations_agree(seed in any::<u64>()) {
         let mut vars = Vec::new();
@@ -396,10 +453,10 @@ proptest! {
 }
 
 /// The corpus of concrete sources the integration tests compile —
-/// `compile_in` must agree with `compile` on every one, including the
-/// rejects.
+/// `compile_compiled` must agree with `compile` on every one, cold and
+/// warm, including the rejects.
 #[test]
-fn compile_in_agrees_with_compile_on_the_corpus() {
+fn compile_compiled_agrees_with_compile_on_the_corpus() {
     let sources = [
         "1 + 2 * 3",
         "let f = fun x => x + 1 in f 41",
@@ -418,19 +475,24 @@ fn compile_in_agrees_with_compile_on_the_corpus() {
         "x",
         "1 2",
     ];
-    let mut types = TypeArena::new();
     for source in sources {
-        let tree = bc_gtlc::compile(source);
-        let interned = bc_gtlc::compile_in(source, &mut types);
-        match (tree, interned) {
-            (Ok(p), Ok(pi)) => {
-                assert_eq!(pi.term, p.term, "{source}");
-                assert_eq!(types.resolve(pi.ty), p.ty, "{source}");
-                assert_eq!(pi.blame_spans, p.blame_spans, "{source}");
-            }
-            (Err(a), Err(b)) => assert_eq!(a, b, "{source}"),
-            (tree, interned) => {
-                panic!("verdicts diverged on {source}: {tree:?} vs {interned:?}")
+        let mut types = TypeArena::new();
+        for pass in ["cold", "warm"] {
+            let tree = bc_gtlc::compile(source);
+            let compiled = bc_gtlc::compile_compiled(source, &mut types);
+            match (tree, compiled) {
+                (Ok(p), Ok(pc)) => {
+                    assert_eq!(decompile(&pc.term, &types), p.term, "{pass}: {source}");
+                    assert_eq!(types.resolve(pc.ty), p.ty, "{pass}: {source}");
+                    assert_eq!(pc.blame_spans, p.blame_spans, "{pass}: {source}");
+                }
+                (Err(a), Err(b)) => {
+                    assert_eq!(a, b, "{pass}: {source}");
+                    assert_eq!(a.render(source), b.render(source), "{pass}: {source}");
+                }
+                (tree, compiled) => {
+                    panic!("verdicts diverged ({pass}) on {source}: {tree:?} vs {compiled:?}")
+                }
             }
         }
     }

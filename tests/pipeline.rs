@@ -1,12 +1,29 @@
 //! End-to-end integration tests across all workspace crates:
-//! GTLC source → λB → λC → λS → six execution engines (E20 of
-//! DESIGN.md), through the session-centric API.
+//! GTLC source → λB → λC → λS → the four session engines plus the
+//! λB/λC small-step oracles (E20 of DESIGN.md), through the
+//! session-centric API.
 
 use bc_syntax::Constant;
-use blame_coercion::translate::bisim::Observation;
-use blame_coercion::{Engine, Session};
+use blame_coercion::translate::bisim::{observe_run_b, observe_run_c, Observation};
+use blame_coercion::{Engine, Program, Session};
 
 const FUEL: u64 = 5_000_000;
+
+/// The λB and λC small-step oracles' observations of a program. They
+/// are reference semantics rather than session engines, so they are
+/// called directly on the program's tree views.
+fn oracle_observations(session: &Session, program: &Program) -> [(&'static str, Observation); 2] {
+    [
+        (
+            "λB (small-step)",
+            observe_run_b(&session.lambda_b(program), FUEL),
+        ),
+        (
+            "λC (small-step)",
+            observe_run_c(&session.lambda_c(program), FUEL),
+        ),
+    ]
+}
 
 /// A corpus of gradually-typed programs with their expected results.
 fn corpus() -> Vec<(&'static str, &'static str, Observation)> {
@@ -68,6 +85,9 @@ fn all_engines_agree_on_the_corpus() {
         let program = session
             .compile(source)
             .unwrap_or_else(|e| panic!("{name} failed to compile:\n{}", e.render(source)));
+        for (oracle, got) in oracle_observations(&session, &program) {
+            assert_eq!(got, expected, "{name} on {oracle}");
+        }
         for engine in Engine::ALL {
             let got = session
                 .run(&program, engine)
@@ -93,6 +113,12 @@ fn blaming_programs_blame_the_same_label_everywhere() {
             .compile(source)
             .unwrap_or_else(|e| panic!("failed to compile:\n{}", e.render(source)));
         let mut labels = Vec::new();
+        for (oracle, got) in oracle_observations(&session, &program) {
+            match got {
+                Observation::Blame(p) => labels.push(p),
+                other => panic!("expected blame on {oracle} for {source:?}, got {other}"),
+            }
+        }
         for engine in Engine::ALL {
             match session
                 .run(&program, engine)
@@ -117,8 +143,8 @@ fn lockstep_holds_for_compiled_programs() {
     let session = Session::builder().default_fuel(FUEL).build();
     for (name, source, _) in corpus() {
         let program = session.compile(source).expect(name);
-        let b = session.run(&program, Engine::LambdaB).expect(name);
-        let c = session.run(&program, Engine::LambdaC).expect(name);
+        let b = blame_coercion::lambda_b::eval::run(&session.lambda_b(&program), FUEL).expect(name);
+        let c = blame_coercion::lambda_c::eval::run(&session.lambda_c(&program), FUEL).expect(name);
         assert_eq!(b.steps, c.steps, "{name}: λB and λC must run in lockstep");
     }
 }

@@ -18,7 +18,8 @@ use std::time::Duration;
 
 use bc_testkit::sources;
 use blame_coercion::{
-    Deadline, Engine, JobError, PoolStats, RunError, RunReport, Session, SessionPool, SliceOutcome,
+    Deadline, Engine, JobError, PoolStats, RunError, RunReport, Session, SessionPool, SliceBudget,
+    SliceOutcome,
 };
 
 const FUEL: u64 = 300;
@@ -38,6 +39,27 @@ fn result_fingerprint(result: &Result<RunReport, RunError>) -> String {
 
 /// A divergent λ-term: always exhausts whatever fuel it is given.
 const SPINNER: &str = "letrec spin (n : Int) : Int = spin (n + 1) in spin 0";
+
+/// How long a job that only has to wait out a few slices may take
+/// before the test calls it pinned. Generous for loaded hosts and
+/// debug builds.
+const PROMPT: Duration = Duration::from_secs(10);
+
+/// Fuel for the spinners the per-engine deadline and cancel tests
+/// stop: far more than the few slices those tests let a spinner run,
+/// yet finite, so an engine that ignored slice boundaries fails the
+/// test (its spinner resolves on fuel, or its neighbour times out)
+/// instead of pinning the worker and hanging the pool's drop.
+const SPIN_FUEL: u64 = 50_000_000;
+
+/// Submits a quick `MachineS` job and asserts it resolves within
+/// [`PROMPT`] — the neighbour that must not wait behind a spinner.
+fn assert_neighbour_resolves(pool: &SessionPool, context: &str) {
+    match pool.submit("1 + 1", Engine::MachineS).wait_timeout(PROMPT) {
+        Some(Ok(out)) => assert_eq!(out.observation.to_string(), "2", "{context}"),
+        other => panic!("{context}: the MachineS neighbour did not resolve promptly: {other:?}"),
+    }
+}
 
 /// Runs `source` on `engine` in a fresh session, driven in `slice`-
 /// step turns through the resumable API, asserting parked runs
@@ -211,63 +233,86 @@ fn wait_timeout_expires_without_losing_the_job() {
 
 /// Cancellation resolves the handle immediately and the worker
 /// discards its side at the next scheduling boundary — the pool
-/// serves the next job instead of burning the spinner's fuel.
+/// serves the next job instead of burning the spinner's fuel. Holds on
+/// every engine the pool serves: a spinner on a single worker lets a
+/// waiting `MachineS` neighbour through while it still runs, and
+/// after `cancel()` the worker is free again.
 #[test]
 fn cancel_stops_a_running_spinner_at_a_slice_boundary() {
-    let pool = SessionPool::builder()
-        .workers(1)
-        .build()
-        .expect("no warmup to fail");
-    let doomed = pool.submit_with_fuel(SPINNER, Engine::MachineS, u64::MAX);
-    // Give the worker a moment to start slicing it, then cancel.
-    std::thread::sleep(Duration::from_millis(5));
-    doomed.cancel();
-    assert_eq!(doomed.wait(), Err(JobError::Canceled));
-    // The worker is free again: an unbounded spinner would otherwise
-    // pin it forever (and this wait would hang).
-    let after = pool.submit("1 + 1", Engine::MachineS).wait();
-    assert!(after.is_ok(), "worker still pinned: {after:?}");
-    let stats = pool.shutdown();
-    assert_eq!(stats.cancellations(), 1);
-    // Canceling an already-resolved job is a no-op: covered above by
-    // `doomed.wait()` returning Canceled exactly once.
+    for engine in Engine::ALL {
+        let pool = SessionPool::builder()
+            .workers(1)
+            .build()
+            .expect("no warmup to fail");
+        let doomed = pool.submit_with_fuel(SPINNER, engine, SPIN_FUEL);
+        // The neighbour queues behind the spinner on the only worker
+        // and still resolves: the spinner yields at slice boundaries.
+        assert_neighbour_resolves(&pool, &format!("{engine}, spinner running"));
+        assert!(
+            doomed.try_wait().is_none(),
+            "{engine}: the spinner resolved before its neighbour: it ran unsliced"
+        );
+        doomed.cancel();
+        assert_eq!(doomed.wait(), Err(JobError::Canceled), "{engine}");
+        // The worker is free again: the canceled spinner no longer
+        // takes slices.
+        assert_neighbour_resolves(&pool, &format!("{engine}, spinner canceled"));
+        let stats = pool.shutdown();
+        assert_eq!(stats.cancellations(), 1, "{engine}");
+        // Canceling an already-resolved job is a no-op: covered above
+        // by `doomed.wait()` returning Canceled exactly once.
+    }
 }
 
 /// Deadlines are enforced at slice boundaries with the real step and
-/// wall-clock accounting in the error.
+/// wall-clock accounting in the error, on every engine the pool
+/// serves; a `MachineS` neighbour waiting on the same single worker
+/// resolves without waiting out the spinner.
 #[test]
 fn deadlines_resolve_to_typed_misses_with_accounting() {
-    let pool = SessionPool::builder()
-        .workers(1)
-        .build()
-        .expect("no warmup to fail");
     let deadline = Duration::from_millis(20);
-    let handle = pool.submit_with_options(
-        SPINNER,
-        Engine::MachineS,
-        Some(u64::MAX),
-        Some(Deadline::after(deadline)),
-    );
-    match handle.wait() {
-        Err(JobError::DeadlineExceeded { steps, elapsed }) => {
-            assert!(steps > 0, "the spinner ran before missing its deadline");
-            assert!(
-                elapsed >= deadline,
-                "elapsed {elapsed:?} must cover the deadline {deadline:?}"
-            );
+    let slice = SliceBudget::default().steps();
+    for engine in Engine::ALL {
+        let pool = SessionPool::builder()
+            .workers(1)
+            .build()
+            .expect("no warmup to fail");
+        let handle = pool.submit_with_options(
+            SPINNER,
+            engine,
+            Some(SPIN_FUEL),
+            Some(Deadline::after(deadline)),
+        );
+        assert_neighbour_resolves(&pool, &format!("{engine}, spinner under a deadline"));
+        match handle.wait_timeout(PROMPT) {
+            Some(Err(JobError::DeadlineExceeded { steps, elapsed })) => {
+                assert!(
+                    steps > 0,
+                    "{engine}: the spinner ran before missing its deadline"
+                );
+                assert_eq!(
+                    steps % slice,
+                    0,
+                    "{engine}: deadlines are checked only at slice boundaries"
+                );
+                assert!(
+                    elapsed >= deadline,
+                    "{engine}: elapsed {elapsed:?} must cover the deadline {deadline:?}"
+                );
+            }
+            other => panic!("{engine}: expected a deadline miss, got {other:?}"),
         }
-        other => panic!("expected a deadline miss, got {other:?}"),
+        // A deadline a finished job never reaches is invisible.
+        let easy = pool.submit_with_options(
+            "1 + 1",
+            engine,
+            None,
+            Some(Deadline::after(Duration::from_secs(60))),
+        );
+        assert!(easy.wait().is_ok(), "{engine}");
+        let stats = pool.shutdown();
+        assert_eq!(stats.deadline_misses(), 1, "{engine}");
     }
-    // A deadline a finished job never reaches is invisible.
-    let easy = pool.submit_with_options(
-        "1 + 1",
-        Engine::MachineS,
-        None,
-        Some(Deadline::after(Duration::from_secs(60))),
-    );
-    assert!(easy.wait().is_ok());
-    let stats = pool.shutdown();
-    assert_eq!(stats.deadline_misses(), 1);
 }
 
 /// Bounded backpressure: submissions past the per-worker in-flight

@@ -3,7 +3,7 @@
 //! (same results as per-program fresh sessions), measurably cheaper
 //! (a warm session interns near-zero new state for structurally
 //! similar programs), and panic-free on the run path (typed
-//! `RunError` on all six engines).
+//! `RunError` on all four session engines).
 
 use bc_testkit::Gen;
 use blame_coercion::translate::bisim::Observation;
@@ -177,8 +177,9 @@ fn warm_recompile_and_run_is_allocation_free_end_to_end() {
 #[test]
 fn no_engine_panics_on_fuel_exhaustion() {
     // Acceptance criterion: a fuel-starved run returns
-    // RunError::FuelExhausted with the real step count on all six
-    // engines — no panic, no sentinel observation.
+    // RunError::FuelExhausted with the real step count on all four
+    // session engines — no panic, no sentinel observation — and the
+    // λB/λC small-step oracles, called directly, report the same.
     let session = Session::new();
     let program = session
         .compile(
@@ -198,6 +199,20 @@ fn no_engine_panics_on_fuel_exhaustion() {
                 }
                 other => panic!("{engine} at fuel {fuel}: expected FuelExhausted, got {other:?}"),
             }
+        }
+    }
+    for fuel in [0u64, 1, 13, 97] {
+        match blame_coercion::lambda_b::eval::run(&session.lambda_b(&program), fuel) {
+            Err(blame_coercion::lambda_b::eval::RunError::FuelExhausted { steps, .. }) => {
+                assert_eq!(steps, fuel, "λB oracle at fuel {fuel}")
+            }
+            other => panic!("λB oracle at fuel {fuel}: expected FuelExhausted, got {other:?}"),
+        }
+        match blame_coercion::lambda_c::eval::run(&session.lambda_c(&program), fuel) {
+            Err(blame_coercion::lambda_c::eval::RunError::FuelExhausted { steps, .. }) => {
+                assert_eq!(steps, fuel, "λC oracle at fuel {fuel}")
+            }
+            other => panic!("λC oracle at fuel {fuel}: expected FuelExhausted, got {other:?}"),
         }
     }
     // A fuel-bounded *machine* run keeps its space metrics — the leak
