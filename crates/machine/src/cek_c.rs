@@ -4,225 +4,90 @@
 //! same leak as the λB machine, expressed in coercion syntax. Compare
 //! with [`crate::cek_s`], which differs *only* in merging adjacent
 //! coercion frames.
-
-use std::rc::Rc;
+//!
+//! The machine is the shared core of [`crate::cek`] with [`Coercion`]
+//! as its boundary; this module holds only λC's boundary rules.
 
 use bc_lambda_c::coercion::Coercion;
 use bc_lambda_c::term::Term;
-use bc_syntax::{Constant, Label, Name, Op};
+use bc_syntax::Label;
 use bc_translate::bisim::Observation;
 
-use crate::metrics::{MachineOutcome, MachineRun, Metrics, SliceResult};
+use crate::cek::{self, Boundary, Value, View};
+use crate::metrics::{MachineRun, SliceResult};
 
-/// Run-time values of the λC machine.
-#[derive(Debug, Clone)]
-pub enum Value {
-    /// A constant.
-    Const(Constant),
-    /// A closure.
-    Closure {
-        /// Parameter name.
-        param: Name,
-        /// Function body.
-        body: Rc<Term>,
-        /// Captured environment.
-        env: Env,
-    },
-    /// A recursive closure.
-    FixClosure {
-        /// Function name.
-        fun: Name,
-        /// Parameter name.
-        param: Name,
-        /// Function body.
-        body: Rc<Term>,
-        /// Captured environment.
-        env: Env,
-    },
-    /// A value under a function coercion or injection.
-    Coerced {
-        /// The underlying value.
-        value: Rc<Value>,
-        /// The wrapping coercion (`c → d` or `G!`).
-        coercion: Coercion,
-    },
-}
+impl Boundary for Coercion {
+    type Term = Term;
 
-impl Value {
-    /// The calculus-agnostic observation of this value.
-    pub fn observe(&self) -> Observation {
+    fn view(term: &Term) -> View<'_, Term, Coercion> {
+        match term {
+            Term::Const(k) => View::Const(*k),
+            Term::Op(op, args) => View::Op(*op, args),
+            Term::Var(x) => View::Var(x),
+            Term::Lam(x, _, body) => View::Lam(x, body),
+            Term::Fix(f, x, _, _, body) => View::Fix(f, x, body),
+            Term::App(l, r) => View::App(l, r),
+            Term::Coerce(inner, c) => View::Boundary(inner, c),
+            Term::Blame(p, _) => View::Blame(*p),
+            Term::If(c, t, e) => View::If(c, t, e),
+            Term::Let(x, bound, body) => View::Let(x, bound, body),
+        }
+    }
+
+    fn size(&self) -> usize {
+        Coercion::size(self)
+    }
+
+    /// Applies a coercion to a value immediately.
+    fn cross(&self, v: Value<Coercion>) -> Result<Value<Coercion>, Label> {
         match self {
-            Value::Const(k) => Observation::Constant(*k),
-            Value::Closure { .. } | Value::FixClosure { .. } => Observation::Function,
-            Value::Coerced { value, coercion } => match coercion {
-                Coercion::Fun(_, _) => Observation::Function,
-                Coercion::Inj(g) => Observation::Injected(*g, Box::new(value.observe())),
-                other => unreachable!("coerced value with non-value coercion {other}"),
+            Coercion::Id(_) => Ok(v),
+            Coercion::Seq(c1, c2) => c2.cross(c1.cross(v)?),
+            Coercion::Inj(_) | Coercion::Fun(_, _) => Ok(v.wrap(self.clone())),
+            Coercion::Proj(h, p) => match v {
+                Value::Wrapped(w) => match w.1 {
+                    Coercion::Inj(g) if g == *h => Ok(w.0.clone()),
+                    Coercion::Inj(_) => Err(*p),
+                    ref other => unreachable!("projected a non-injection {other}"),
+                },
+                other => unreachable!("projected a non-injection {other:?}"),
             },
+            Coercion::Fail(_, p, _) => Err(*p),
+        }
+    }
+
+    /// `(V⟨c → d⟩) W`: coerces the argument with `c` and returns the
+    /// (unmerged!) result coercion `d`.
+    fn split_call(&self, arg: Value<Coercion>) -> Result<(Value<Coercion>, Coercion), Label> {
+        let Coercion::Fun(c, d) = self else {
+            unreachable!("applied a value under the non-function coercion {self}")
+        };
+        Ok((c.cross(arg)?, (**d).clone()))
+    }
+
+    fn observe(&self, inner: &Value<Coercion>) -> Observation {
+        match self {
+            Coercion::Fun(_, _) => Observation::Function,
+            Coercion::Inj(g) => Observation::Injected(*g, Box::new(inner.observe())),
+            other => unreachable!("coerced value with non-value coercion {other}"),
         }
     }
 }
 
-/// A persistent environment.
-#[derive(Debug, Clone, Default)]
-pub struct Env(Option<Rc<EnvNode>>);
+/// A preempted λC machine run, parked between fuel slices: see
+/// [`cek::Paused`]. Resuming is observationally identical to never
+/// having parked, and the state is worker-local (not `Send`).
+pub type Paused = cek::Paused<Coercion>;
 
-#[derive(Debug)]
-struct EnvNode {
-    name: Name,
-    value: Value,
-    rest: Env,
-}
-
-impl Env {
-    /// The empty environment.
-    pub fn new() -> Env {
-        Env(None)
-    }
-
-    /// Extends the environment with a binding.
-    #[must_use]
-    pub fn bind(&self, name: Name, value: Value) -> Env {
-        Env(Some(Rc::new(EnvNode {
-            name,
-            value,
-            rest: self.clone(),
-        })))
-    }
-
-    fn lookup(&self, name: &Name) -> Option<&Value> {
-        let mut cur = self;
-        while let Some(node) = &cur.0 {
-            if &node.name == name {
-                return Some(&node.value);
-            }
-            cur = &node.rest;
-        }
-        None
-    }
-}
-
-// Variant names deliberately carry the -Frame suffix: "cast frame" /
-// "coercion frame" is the paper's terminology for what leaks in
-// λB/λC and merges in λS.
-#[allow(clippy::enum_variant_names)]
-enum Frame {
-    AppArg {
-        arg: Term,
-        env: Env,
-    },
-    AppCall {
-        fun: Value,
-    },
-    OpFrame {
-        op: Op,
-        done: Vec<Value>,
-        rest: Vec<Term>,
-        env: Env,
-    },
-    If {
-        then_: Term,
-        else_: Term,
-        env: Env,
-    },
-    Let {
-        name: Name,
-        body: Term,
-        env: Env,
-    },
-    CoerceFrame(Coercion),
-}
-
-enum Control {
-    Eval(Term, Env),
-    Ret(Value),
-}
-
-struct Machine {
-    stack: Vec<Frame>,
-    metrics: Metrics,
-    coercion_frames: usize,
-    coercion_size: usize,
-}
-
-impl Machine {
-    fn push(&mut self, f: Frame) {
-        if let Frame::CoerceFrame(c) = &f {
-            self.coercion_frames += 1;
-            self.coercion_size += c.size();
-        }
-        self.stack.push(f);
-        self.metrics
-            .observe(self.stack.len(), self.coercion_frames, self.coercion_size);
-    }
-
-    fn pop(&mut self) -> Option<Frame> {
-        let f = self.stack.pop();
-        if let Some(Frame::CoerceFrame(c)) = &f {
-            self.coercion_frames -= 1;
-            self.coercion_size -= c.size();
-        }
-        f
-    }
-}
-
-/// Applies a coercion to a value immediately.
-fn coerce_value(v: Value, c: &Coercion) -> Result<Value, Label> {
-    match c {
-        Coercion::Id(_) => Ok(v),
-        Coercion::Seq(c1, c2) => coerce_value(coerce_value(v, c1)?, c2),
-        Coercion::Inj(_) | Coercion::Fun(_, _) => Ok(Value::Coerced {
-            value: Rc::new(v),
-            coercion: c.clone(),
-        }),
-        Coercion::Proj(h, p) => match v {
-            Value::Coerced {
-                value,
-                coercion: Coercion::Inj(g),
-            } => {
-                if g == *h {
-                    Ok((*value).clone())
-                } else {
-                    Err(*p)
-                }
-            }
-            other => unreachable!("projected a non-injection {other:?}"),
-        },
-        Coercion::Fail(_, p, _) => Err(*p),
-    }
-}
-
-/// A preempted λC machine run, parked between fuel slices.
-///
-/// Same contract as [`crate::cek_b::Paused`]: resuming is
-/// observationally identical to never having parked, and the state is
-/// deliberately worker-local (`Rc`-shared values, not `Send`).
-pub struct Paused {
-    machine: Machine,
-    control: Control,
-    fuel: u64,
-}
-
-impl Paused {
-    /// Machine transitions taken so far, across all slices.
-    pub fn steps(&self) -> u64 {
-        self.machine.metrics.steps
-    }
-}
-
-/// Begins a resumable run of a closed, well-typed λC term. No steps
+/// Lowers a closed λC term and begins a resumable run of it. No steps
 /// are taken; drive the machine with [`resume`].
+///
+/// # Panics
+///
+/// Panics on an open term: lowering resolves every variable, so an
+/// unbound one panics here rather than when it is reached.
 pub fn start(term: &Term, fuel: u64) -> Paused {
-    Paused {
-        machine: Machine {
-            stack: Vec::new(),
-            metrics: Metrics::default(),
-            coercion_frames: 0,
-            coercion_size: 0,
-        },
-        control: Control::Eval(term.clone(), Env::new()),
-        fuel,
-    }
+    cek::start(term, fuel)
 }
 
 /// Runs a parked machine for at most `slice` further transitions.
@@ -231,202 +96,20 @@ pub fn start(term: &Term, fuel: u64) -> Paused {
 ///
 /// # Panics
 ///
-/// Panics on open or ill-typed input.
+/// Panics on ill-typed input. Open terms already panicked in
+/// [`start`].
 pub fn resume(paused: Paused, slice: u64) -> SliceResult<Paused> {
-    let Paused {
-        machine: mut m,
-        mut control,
-        fuel,
-    } = paused;
-    let until = m.metrics.steps.saturating_add(slice);
-    loop {
-        if m.metrics.steps >= fuel {
-            return SliceResult::Done(MachineRun {
-                outcome: MachineOutcome::Timeout,
-                metrics: m.metrics,
-            });
-        }
-        if m.metrics.steps >= until {
-            return SliceResult::Parked(Paused {
-                machine: m,
-                control,
-                fuel,
-            });
-        }
-        m.metrics.steps += 1;
-        control = match control {
-            Control::Eval(t, env) => match t {
-                Term::Const(k) => Control::Ret(Value::Const(k)),
-                Term::Var(x) => Control::Ret(
-                    env.lookup(&x)
-                        .unwrap_or_else(|| panic!("unbound variable `{x}`"))
-                        .clone(),
-                ),
-                Term::Lam(param, _, body) => Control::Ret(Value::Closure { param, body, env }),
-                Term::Fix(fun, param, _, _, body) => Control::Ret(Value::FixClosure {
-                    fun,
-                    param,
-                    body,
-                    env,
-                }),
-                Term::App(l, r) => {
-                    m.push(Frame::AppArg {
-                        arg: (*r).clone(),
-                        env: env.clone(),
-                    });
-                    Control::Eval((*l).clone(), env)
-                }
-                Term::Op(op, mut args) => {
-                    let rest = args.split_off(1);
-                    let first = args.pop().expect("operators have at least one argument");
-                    m.push(Frame::OpFrame {
-                        op,
-                        done: Vec::new(),
-                        rest,
-                        env: env.clone(),
-                    });
-                    Control::Eval(first, env)
-                }
-                Term::Coerce(inner, c) => {
-                    m.push(Frame::CoerceFrame(c));
-                    Control::Eval((*inner).clone(), env)
-                }
-                Term::Blame(p, _) => {
-                    return SliceResult::Done(MachineRun {
-                        outcome: MachineOutcome::Blame(p),
-                        metrics: m.metrics,
-                    })
-                }
-                Term::If(c, t2, e) => {
-                    m.push(Frame::If {
-                        then_: (*t2).clone(),
-                        else_: (*e).clone(),
-                        env: env.clone(),
-                    });
-                    Control::Eval((*c).clone(), env)
-                }
-                Term::Let(x, bound, body) => {
-                    m.push(Frame::Let {
-                        name: x,
-                        body: (*body).clone(),
-                        env: env.clone(),
-                    });
-                    Control::Eval((*bound).clone(), env)
-                }
-            },
-            Control::Ret(v) => match m.pop() {
-                None => {
-                    return SliceResult::Done(MachineRun {
-                        outcome: MachineOutcome::Value(v.observe()),
-                        metrics: m.metrics,
-                    })
-                }
-                Some(Frame::AppArg { arg, env }) => {
-                    m.push(Frame::AppCall { fun: v });
-                    Control::Eval(arg, env)
-                }
-                Some(Frame::AppCall { fun }) => match apply(&mut m, fun, v) {
-                    Ok(c) => c,
-                    Err(p) => {
-                        return SliceResult::Done(MachineRun {
-                            outcome: MachineOutcome::Blame(p),
-                            metrics: m.metrics,
-                        })
-                    }
-                },
-                Some(Frame::OpFrame {
-                    op,
-                    mut done,
-                    mut rest,
-                    env,
-                }) => {
-                    done.push(v);
-                    if rest.is_empty() {
-                        let consts: Vec<Constant> = done
-                            .iter()
-                            .map(|v| match v {
-                                Value::Const(k) => *k,
-                                other => unreachable!("operator got non-constant {other:?}"),
-                            })
-                            .collect();
-                        Control::Ret(Value::Const(op.apply(&consts)))
-                    } else {
-                        let next = rest.remove(0);
-                        m.push(Frame::OpFrame {
-                            op,
-                            done,
-                            rest,
-                            env: env.clone(),
-                        });
-                        Control::Eval(next, env)
-                    }
-                }
-                Some(Frame::If { then_, else_, env }) => match v {
-                    Value::Const(Constant::Bool(true)) => Control::Eval(then_, env),
-                    Value::Const(Constant::Bool(false)) => Control::Eval(else_, env),
-                    other => unreachable!("if condition returned {other:?}"),
-                },
-                Some(Frame::Let { name, body, env }) => {
-                    let env = env.bind(name, v);
-                    Control::Eval(body, env)
-                }
-                Some(Frame::CoerceFrame(c)) => match coerce_value(v, &c) {
-                    Ok(v2) => Control::Ret(v2),
-                    Err(p) => {
-                        return SliceResult::Done(MachineRun {
-                            outcome: MachineOutcome::Blame(p),
-                            metrics: m.metrics,
-                        })
-                    }
-                },
-            },
-        };
-    }
+    cek::resume(paused, slice)
 }
 
 /// Runs a closed, well-typed λC term on the CEK machine in one slice.
 ///
 /// # Panics
 ///
-/// Panics on open or ill-typed input.
+/// Panics on open input (while lowering, before the first step) or
+/// ill-typed input.
 pub fn run(term: &Term, fuel: u64) -> MachineRun {
-    match resume(start(term, fuel), fuel) {
-        SliceResult::Done(r) => r,
-        SliceResult::Parked(_) => unreachable!("a slice of the whole fuel cannot park"),
-    }
-}
-
-fn apply(m: &mut Machine, fun: Value, arg: Value) -> Result<Control, Label> {
-    match fun {
-        Value::Closure { param, body, env } => {
-            let env = env.bind(param, arg);
-            Ok(Control::Eval((*body).clone(), env))
-        }
-        Value::FixClosure {
-            fun: f,
-            param,
-            body,
-            env,
-        } => {
-            let self_val = Value::FixClosure {
-                fun: f.clone(),
-                param: param.clone(),
-                body: body.clone(),
-                env: env.clone(),
-            };
-            let env = env.bind(f, self_val).bind(param, arg);
-            Ok(Control::Eval((*body).clone(), env))
-        }
-        Value::Coerced {
-            value,
-            coercion: Coercion::Fun(c, d),
-        } => {
-            let arg2 = coerce_value(arg, &c)?;
-            m.push(Frame::CoerceFrame((*d).clone()));
-            apply(m, (*value).clone(), arg2)
-        }
-        other => unreachable!("applied a non-function value {other:?}"),
-    }
+    cek::run::<Coercion>(term, fuel)
 }
 
 #[cfg(test)]

@@ -16,6 +16,11 @@
 //!   Together with Proposition 14 (composition preserves height) this
 //!   bounds the continuation and restores proper tail calls.
 //!
+//! The λB and λC machines share one core, [`cek`]: the term is lowered
+//! once into index-addressed code, and the environment, continuation,
+//! exec loop and closure application exist once. The two machines
+//! differ only in their boundary rules ([`cek::Boundary`]).
+//!
 //! Every machine reports [`metrics::Metrics`]: peak continuation
 //! depth, peak number of cast/coercion frames, and peak total size of
 //! coercions held by the continuation. The `space` benchmark and
@@ -24,6 +29,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cek;
 pub mod cek_b;
 pub mod cek_c;
 pub mod cek_s;
