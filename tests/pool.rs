@@ -550,14 +550,21 @@ fn a_panicking_job_is_typed_and_the_worker_respawns() {
 
 #[test]
 fn idle_workers_steal_from_busy_queues() {
-    // Work-stealing satellite: pin worker 0 behind a long spinner,
+    // Work-stealing satellite: pin one worker behind a long spinner,
     // round-robin quick jobs into both queues, and the idle worker
     // must steal the quick jobs stranded behind the spinner. Also the
     // queue-depth accessors: zero when quiescent, one entry per
     // worker.
+    //
+    // The pool does not slice: a slicing worker claims one queued job
+    // between spinner slices, so its queue-mates are not reliably
+    // stranded. Without slicing, the worker that claims the spinner
+    // runs it to the end of its fuel in one turn and claims nothing
+    // else meanwhile, so its queue can only drain by steals.
     let pool = SessionPool::builder()
         .workers(2)
         .default_fuel(FUEL)
+        .no_slicing()
         .build()
         .expect("builds");
     assert_eq!(pool.queue_depth(), 0);
@@ -565,6 +572,12 @@ fn idle_workers_steal_from_busy_queues() {
 
     let spin = "letrec spin (n : Int) : Int = spin (n + 1) in spin 0";
     let long = pool.submit_with_fuel(spin, Engine::MachineS, 3_000_000);
+    // Submit the quick jobs only once the spinner is claimed. Either
+    // worker 1 stole it (that is the steal), or worker 0 now spins
+    // and every quick job dispatched to it waits for a steal.
+    while pool.queue_depth() > 0 {
+        std::thread::yield_now();
+    }
     let quick: Vec<_> = (0..12)
         .map(|k| {
             pool.submit(
