@@ -24,7 +24,7 @@ use crate::metrics::{MachineOutcome, MachineRun, Metrics, SliceResult};
 
 /// A calculus's boundary payload (a λB cast or a λC coercion) and the
 /// rules the shared machine needs from it.
-pub trait Boundary: Clone + Debug + 'static {
+pub(crate) trait Boundary: Clone + Debug + 'static {
     /// The calculus's term type.
     type Term;
 
@@ -57,7 +57,7 @@ pub trait Boundary: Clone + Debug + 'static {
 }
 
 /// One layer of a calculus term, as lowering sees it.
-pub enum View<'a, T, P> {
+pub(crate) enum View<'a, T, P> {
     /// A constant.
     Const(Constant),
     /// A variable.
@@ -83,10 +83,10 @@ pub enum View<'a, T, P> {
 /// A lowered term: variables are de Bruijn indices into the [`Env`],
 /// operators have fixed arity, and boundaries carry their frame size.
 #[derive(Debug)]
-pub enum Code<P> {
+pub(crate) enum Code<P> {
     /// A constant.
     Const(Constant),
-    /// The variable bound `0`-based innermost-first.
+    /// A variable, as its de Bruijn index (0 is the innermost binder).
     Var(usize),
     /// An abstraction; its body sees the argument at index 0.
     Lam(Rc<Code<P>>),
@@ -111,7 +111,7 @@ pub enum Code<P> {
 
 /// Run-time values.
 #[derive(Debug, Clone)]
-pub enum Value<P> {
+pub(crate) enum Value<P> {
     /// A constant.
     Const(Constant),
     /// A closure: body and captured environment.
@@ -124,12 +124,12 @@ pub enum Value<P> {
 
 impl<P: Boundary> Value<P> {
     /// Wraps `self` in the boundary `p`.
-    pub fn wrap(self, p: P) -> Value<P> {
+    pub(crate) fn wrap(self, p: P) -> Value<P> {
         Value::Wrapped(Rc::new((self, p)))
     }
 
     /// The calculus-agnostic observation of this value.
-    pub fn observe(&self) -> Observation {
+    pub(crate) fn observe(&self) -> Observation {
         match self {
             Value::Const(k) => Observation::Constant(*k),
             Value::Closure(..) | Value::Fix(..) => Observation::Function,
@@ -147,7 +147,7 @@ impl<P: Boundary> Value<P> {
 
 /// A persistent environment of values addressed by de Bruijn index.
 #[derive(Debug, Clone)]
-pub struct Env<P>(Option<Rc<(Value<P>, Env<P>)>>);
+pub(crate) struct Env<P>(Option<Rc<(Value<P>, Env<P>)>>);
 
 impl<P> Env<P> {
     fn bind(self, value: Value<P>) -> Env<P> {
@@ -163,8 +163,6 @@ impl<P> Env<P> {
     }
 }
 
-// Variant names follow the paper: a "cast frame" / "coercion frame"
-// is a boundary frame.
 enum Frame<P> {
     AppArg(Rc<Code<P>>, Env<P>),
     AppCall(Value<P>),
@@ -173,7 +171,8 @@ enum Frame<P> {
     Op2Right(Op, Constant),
     If(Rc<Code<P>>, Rc<Code<P>>, Env<P>),
     Let(Rc<Code<P>>, Env<P>),
-    /// A boundary and its size, computed once when the frame is built.
+    /// A cast or coercion frame, with its size computed once when the
+    /// frame is built.
     Boundary(P, usize),
 }
 
@@ -326,20 +325,8 @@ fn lower<'a, P: Boundary>(term: &'a P::Term, scope: &mut Vec<&'a Name>) -> Rc<Co
     })
 }
 
-/// A preempted run, parked between fuel slices.
-///
-/// Holds the complete machine state — continuation stack, control,
-/// and metrics — plus the run's total fuel, so [`resume`] continues
-/// exactly where the last slice stopped. Slicing is invisible to the
-/// semantics: the fuel check (`steps >= fuel`) happens before every
-/// transition whether sliced or not, so steps, space peaks, and the
-/// final outcome are identical to an unsliced [`run`].
-///
-/// Values and environments are `Rc`-shared, so a parked run is
-/// deliberately **not** `Send`: it stays on the worker thread that
-/// started it. (An `Arc` spine was measured ~30% slower end to end
-/// in this machine family, so cross-thread parking is not worth the
-/// price; the scheduler parks per worker instead.)
+/// A preempted run, parked between fuel slices: the machine state
+/// plus the run's total fuel. Each machine module documents its alias.
 pub struct Paused<P> {
     machine: Machine<P>,
     control: Control<P>,
@@ -359,7 +346,7 @@ impl<P> Paused<P> {
 ///
 /// Panics on an open term (an unbound variable) or an operator applied
 /// to the wrong number of arguments.
-pub fn start<P: Boundary>(term: &P::Term, fuel: u64) -> Paused<P> {
+pub(crate) fn start<P: Boundary>(term: &P::Term, fuel: u64) -> Paused<P> {
     Paused {
         machine: Machine {
             stack: Vec::new(),
@@ -379,7 +366,7 @@ pub fn start<P: Boundary>(term: &P::Term, fuel: u64) -> Paused<P> {
 /// # Panics
 ///
 /// Panics on ill-typed input.
-pub fn resume<P: Boundary>(paused: Paused<P>, slice: u64) -> SliceResult<Paused<P>> {
+pub(crate) fn resume<P: Boundary>(paused: Paused<P>, slice: u64) -> SliceResult<Paused<P>> {
     let Paused {
         machine: mut m,
         mut control,
@@ -418,7 +405,7 @@ pub fn resume<P: Boundary>(paused: Paused<P>, slice: u64) -> SliceResult<Paused<
 /// # Panics
 ///
 /// Panics on open or ill-typed input.
-pub fn run<P: Boundary>(term: &P::Term, fuel: u64) -> MachineRun {
+pub(crate) fn run<P: Boundary>(term: &P::Term, fuel: u64) -> MachineRun {
     match resume(start::<P>(term, fuel), fuel) {
         SliceResult::Done(r) => r,
         SliceResult::Parked(_) => unreachable!("a slice of the whole fuel cannot park"),

@@ -5,8 +5,9 @@
 //! boundary-crossing tail calls grow the continuation — the machine
 //! reproduces the space leak of §1 faithfully (see the metrics).
 //!
-//! The machine is the shared core of [`crate::cek`] with [`Cast`] as
-//! its boundary; this module holds only λB's boundary rules.
+//! The machine is the core it shares with [`crate::cek_c`], with
+//! [`Cast`] as its boundary; this module holds only λB's boundary
+//! rules.
 
 use bc_lambda_b::term::{Cast, Term};
 use bc_syntax::{Label, Type};
@@ -93,9 +94,20 @@ impl Boundary for Cast {
     }
 }
 
-/// A preempted λB machine run, parked between fuel slices: see
-/// [`cek::Paused`]. Resuming is observationally identical to never
-/// having parked, and the state is worker-local (not `Send`).
+/// A preempted λB machine run, parked between fuel slices.
+///
+/// Holds the complete machine state — continuation stack, control,
+/// and metrics — plus the run's total fuel, so [`resume`] continues
+/// exactly where the last slice stopped. Slicing is invisible to the
+/// semantics: the fuel check (`steps >= fuel`) happens before every
+/// transition whether sliced or not, so steps, space peaks, and the
+/// final outcome are identical to an unsliced [`run`].
+///
+/// Values and environments are `Rc`-shared, so a parked run is
+/// deliberately **not** `Send`: it stays on the worker thread that
+/// started it. (An `Arc` spine was measured ~30% slower end to end
+/// in this machine family, so cross-thread parking is not worth the
+/// price; the scheduler parks per worker instead.)
 pub type Paused = cek::Paused<Cast>;
 
 /// Lowers a closed λB term and begins a resumable run of it. No steps
@@ -170,6 +182,13 @@ mod tests {
         let machine = run(&t, 100).outcome;
         assert_eq!(machine, MachineOutcome::Blame(Label::new(1)));
         assert!(matches!(small, eval::Outcome::Blame(l) if l == Label::new(1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "unbound variable `x`")]
+    fn open_terms_panic_while_lowering() {
+        // The unbound `x` sits under an abstraction that never runs.
+        let _ = start(&Term::lam("y", Type::INT, Term::var("x")), 10);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! with [`crate::cek_s`], which differs *only* in merging adjacent
 //! coercion frames.
 //!
-//! The machine is the shared core of [`crate::cek`] with [`Coercion`]
-//! as its boundary; this module holds only λC's boundary rules.
+//! The machine is the core it shares with [`crate::cek_b`], with
+//! [`Coercion`] as its boundary; this module holds only λC's boundary
+//! rules.
 
 use bc_lambda_c::coercion::Coercion;
 use bc_lambda_c::term::Term;
@@ -74,9 +75,11 @@ impl Boundary for Coercion {
     }
 }
 
-/// A preempted λC machine run, parked between fuel slices: see
-/// [`cek::Paused`]. Resuming is observationally identical to never
-/// having parked, and the state is worker-local (not `Send`).
+/// A preempted λC machine run, parked between fuel slices.
+///
+/// Same contract as [`crate::cek_b::Paused`]: resuming is
+/// observationally identical to never having parked, and the state is
+/// deliberately worker-local (`Rc`-shared values, not `Send`).
 pub type Paused = cek::Paused<Coercion>;
 
 /// Lowers a closed λC term and begins a resumable run of it. No steps

@@ -16,10 +16,12 @@
 //!   Together with Proposition 14 (composition preserves height) this
 //!   bounds the continuation and restores proper tail calls.
 //!
-//! The λB and λC machines share one core, [`cek`]: the term is lowered
+//! The λB and λC machines share one core, `cek`: the term is lowered
 //! once into index-addressed code, and the environment, continuation,
 //! exec loop and closure application exist once. The two machines
-//! differ only in their boundary rules ([`cek::Boundary`]).
+//! differ only in their boundary rules: how a value crosses a cast or
+//! coercion, how a function proxy applies, the size of a boundary
+//! frame, and how a wrapped value is observed.
 //!
 //! Every machine reports [`metrics::Metrics`]: peak continuation
 //! depth, peak number of cast/coercion frames, and peak total size of
@@ -29,7 +31,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cek;
+mod cek;
 pub mod cek_b;
 pub mod cek_c;
 pub mod cek_s;
