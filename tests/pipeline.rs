@@ -4,8 +4,8 @@
 //! session-centric API.
 
 use bc_syntax::Constant;
-use blame_coercion::translate::bisim::{observe_run_b, observe_run_c, Observation};
-use blame_coercion::{Engine, Program, Session};
+use blame_coercion::translate::bisim::{observe_run_b, observe_run_c, observe_run_s, Observation};
+use blame_coercion::{Engine, Program, Session, SessionPool};
 
 const FUEL: u64 = 5_000_000;
 
@@ -193,6 +193,42 @@ fn space_stays_bounded_end_to_end() {
         b_small.peak_cast_frames,
         b_large.peak_cast_frames
     );
+}
+
+#[test]
+fn a_letrec_parameter_shadows_the_function_name() {
+    // In `letrec f (f : Int)` the body's `f` is the parameter, not the
+    // function, so the program is `3 + 1`. Every Fix rule must let the
+    // parameter shadow the function name.
+    let source = "letrec f (f : Int) : Int = f + 1 in f 3";
+    let expected = Observation::Constant(Constant::Int(4));
+    let session = Session::builder().default_fuel(FUEL).build();
+    let program = session.compile(source).expect("compiles");
+    for (oracle, got) in oracle_observations(&session, &program) {
+        assert_eq!(got, expected, "{oracle}");
+    }
+    assert_eq!(
+        observe_run_s(&session.lambda_s(&program), FUEL),
+        expected,
+        "λS (small-step, tree)"
+    );
+    let pool = SessionPool::builder()
+        .workers(1)
+        .default_fuel(FUEL)
+        .build()
+        .expect("builds");
+    for engine in Engine::ALL {
+        let got = session
+            .run(&program, engine)
+            .unwrap_or_else(|e| panic!("{engine}: {e}"))
+            .observation;
+        assert_eq!(got, expected, "{engine}");
+        let job = pool
+            .submit(source, engine)
+            .wait()
+            .unwrap_or_else(|e| panic!("pool job on {engine}: {e}"));
+        assert_eq!(job.observation, expected, "pool job on {engine}");
+    }
 }
 
 #[test]
