@@ -100,11 +100,14 @@ pub fn lex(source: &str) -> Result<Vec<Token>, Diagnostic> {
             '-' => (TokenKind::Minus, 1),
             '<' if bytes.get(i + 1) == Some(&b'=') => (TokenKind::LessEq, 2),
             '<' => (TokenKind::Less, 1),
-            other => {
+            _ => {
+                // `i` is always on a character boundary: only ASCII
+                // bytes and whole comment lines are skipped.
+                let c = source[i..].chars().next().expect("not at end of input");
                 return Err(Diagnostic::new(
-                    format!("unrecognised character `{other}`"),
-                    Span::new(start, start + other.len_utf8()),
-                ))
+                    format!("unrecognised character `{c}`"),
+                    Span::new(start, start + c.len_utf8()),
+                ));
             }
         };
         i += len;
@@ -194,6 +197,24 @@ mod tests {
     #[test]
     fn rejects_huge_literals() {
         assert!(lex("99999999999999999999999").is_err());
+    }
+
+    #[test]
+    fn names_non_ascii_characters_whole() {
+        for (src, c, span) in [
+            ("\u{2192}", '\u{2192}', Span::new(0, 3)),
+            ("x \u{e9}", '\u{e9}', Span::new(2, 4)),
+            ("1 + \u{1f600}", '\u{1f600}', Span::new(4, 8)),
+            (
+                "-- \u{3bb} in a comment\n\u{3bb}",
+                '\u{3bb}',
+                Span::new(19, 21),
+            ),
+        ] {
+            let err = lex(src).unwrap_err();
+            assert_eq!(err.message, format!("unrecognised character `{c}`"));
+            assert_eq!(err.span, span, "on {src:?}");
+        }
     }
 
     #[test]

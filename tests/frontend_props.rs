@@ -11,6 +11,10 @@
 //!   elaborator's compiled λB decompiles to the tree elaborator's
 //!   term, with the same type, the same blame spans, and
 //!   byte-identical `Diagnostic`s on rejection.
+//! * GTLC source text: on random strings over the token alphabet,
+//!   whitespace, comments and multi-byte characters, lexing, parsing
+//!   and elaboration never panic, every diagnostic span covers whole
+//!   characters of the source, and `compile_compiled ≡ compile`.
 //!
 //! Each case runs its comparison twice against the same arena, so the
 //! warm path (every verdict a memo hit, every annotation already
@@ -18,9 +22,11 @@
 
 use bc_gtlc::ast::{Expr, ExprI, ExprKind};
 use bc_gtlc::diagnostics::Span;
+use bc_gtlc::Diagnostic;
 use bc_gtlc::{elaborate, elaborate_compiled};
 use bc_lambda_b::bterm::decompile;
 use bc_syntax::{BaseType, Ground, Label, Op, Type, TypeArena};
+use bc_testkit::sources::SHAPES;
 use bc_testkit::Gen;
 use proptest::prelude::*;
 
@@ -365,8 +371,129 @@ fn assert_elaborations_equivalent(expr: &Expr, types: &mut TypeArena) {
     }
 }
 
+/// Random GTLC source text. Half the cases are a run of pieces drawn
+/// from the token alphabet, well-formed fragments, whitespace and
+/// comments, with the odd multi-byte character the lexer must reject
+/// whole; the other half splice up to two such pieces into a
+/// well-formed program, so near misses and successes occur too.
+fn random_source(seed: u64) -> String {
+    const PIECES: &[&str] = &[
+        "fun",
+        "let",
+        "letrec",
+        "in",
+        "if",
+        "then",
+        "else",
+        "true",
+        "false",
+        "not",
+        "and",
+        "or",
+        "quot",
+        "rem",
+        "Int",
+        "Bool",
+        "?",
+        "(",
+        ")",
+        ":",
+        "=>",
+        "->",
+        "=",
+        "+",
+        "-",
+        "*",
+        "<",
+        "<=",
+        "x",
+        "f",
+        "n'",
+        "_y",
+        "0",
+        "7",
+        "99999999999999999999",
+        " ",
+        " ",
+        " ",
+        "\n",
+        "\t",
+        "-- \u{3bb}x.x \u{2192} \u{e9}\n",
+        "fun x => x",
+        "(1 : ?)",
+        "let x = 1 in ",
+        "letrec f (n : Int) : Int = ",
+        "(x : Int -> Bool)",
+    ];
+    const WIDE: &[&str] = &["\u{e9}", "\u{3bb}", "\u{2192}", "\u{1f600}", "#"];
+    let mut chooser = Chooser::new(seed);
+    let mut piece = |chooser: &mut Chooser| {
+        if chooser.pick(32) == 0 {
+            WIDE[chooser.pick(WIDE.len())]
+        } else {
+            PIECES[chooser.pick(PIECES.len())]
+        }
+    };
+    if chooser.flip() {
+        return (0..chooser.pick(24)).map(|_| piece(&mut chooser)).collect();
+    }
+    let mut source = bc_testkit::sources::shapes().swap_remove(chooser.pick(SHAPES));
+    for _ in 0..chooser.pick(3) {
+        let mut at = chooser.pick(source.len() + 1);
+        while !source.is_char_boundary(at) {
+            at -= 1;
+        }
+        source.insert_str(at, piece(&mut chooser));
+    }
+    source
+}
+
+/// Compiles `source` on the tree path (`compile`) and on the compiled
+/// path (`compile_compiled`: lex, `parse_in`, `elaborate_compiled`)
+/// against `types`, asserts they agree, and returns the shared
+/// diagnostic on rejection.
+fn compile_paths_agree(source: &str, types: &mut TypeArena, pass: &str) -> Option<Diagnostic> {
+    let tree = bc_gtlc::compile(source);
+    let compiled = bc_gtlc::compile_compiled(source, types);
+    match (tree, compiled) {
+        (Ok(p), Ok(pc)) => {
+            assert_eq!(decompile(&pc.term, types), p.term, "{pass}: {source:?}");
+            assert_eq!(types.resolve(pc.ty), p.ty, "{pass}: {source:?}");
+            assert_eq!(pc.blame_spans, p.blame_spans, "{pass}: {source:?}");
+            None
+        }
+        (Err(a), Err(b)) => {
+            assert_eq!(a, b, "{pass}: {source:?}");
+            assert_eq!(a.render(source), b.render(source), "{pass}: {source:?}");
+            Some(a)
+        }
+        (tree, compiled) => {
+            panic!("verdicts diverged ({pass}) on {source:?}: {tree:?} vs {compiled:?}")
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// GTLC source text: the front end is total on random text, its
+    /// diagnostics point at whole characters, and both paths agree,
+    /// cold and warm.
+    #[test]
+    fn front_end_is_total_on_random_text(seed in any::<u64>()) {
+        let source = random_source(seed);
+        let mut types = TypeArena::new();
+        for pass in ["cold", "warm"] {
+            if let Some(d) = compile_paths_agree(&source, &mut types, pass) {
+                let Span { start, end } = d.span;
+                assert!(start <= end && end <= source.len(), "{d:?} on {source:?}");
+                assert!(
+                    source.is_char_boundary(start) && source.is_char_boundary(end),
+                    "{d:?} splits a character of {source:?}"
+                );
+            }
+        }
+    }
 
     /// λB: interned checker ≡ tree checker on generated well-typed
     /// terms, cold and warm.
@@ -478,22 +605,7 @@ fn compile_compiled_agrees_with_compile_on_the_corpus() {
     for source in sources {
         let mut types = TypeArena::new();
         for pass in ["cold", "warm"] {
-            let tree = bc_gtlc::compile(source);
-            let compiled = bc_gtlc::compile_compiled(source, &mut types);
-            match (tree, compiled) {
-                (Ok(p), Ok(pc)) => {
-                    assert_eq!(decompile(&pc.term, &types), p.term, "{pass}: {source}");
-                    assert_eq!(types.resolve(pc.ty), p.ty, "{pass}: {source}");
-                    assert_eq!(pc.blame_spans, p.blame_spans, "{pass}: {source}");
-                }
-                (Err(a), Err(b)) => {
-                    assert_eq!(a, b, "{pass}: {source}");
-                    assert_eq!(a.render(source), b.render(source), "{pass}: {source}");
-                }
-                (tree, compiled) => {
-                    panic!("verdicts diverged ({pass}) on {source}: {tree:?} vs {compiled:?}")
-                }
-            }
+            compile_paths_agree(source, &mut types, pass);
         }
     }
 }
