@@ -96,13 +96,21 @@ fn four_worker_pool_matches_a_sequential_warm_session() {
 #[test]
 fn warmed_pool_workers_intern_nothing_past_the_base() {
     // The tentpole acceptance criterion: after warmup on one
-    // representative per shape, a 64-program structurally-similar
-    // batch leaves every worker with zero locally interned coercion
+    // representative per shape, a 64-job structurally-similar batch
+    // leaves every worker with zero locally interned coercion
     // and type nodes — the whole warm working set is served from the
     // shared frozen base.
+    //
+    // Every serving worker must make a coercion probe, so each first
+    // claims one long boundary loop (casts on every iteration): the
+    // pool does not slice, so a worker holds its loop until it ends
+    // and four claimed loops sit on four distinct workers. Only then
+    // does the mixed batch go in; otherwise a worker whose steals
+    // happened to be cast-free jobs would probe no coercion at all.
     let pool = SessionPool::builder()
         .workers(4)
         .default_fuel(10_000)
+        .no_slicing()
         .warmup(sources::shapes())
         .build()
         .expect("warmup compiles");
@@ -110,7 +118,16 @@ fn warmed_pool_workers_intern_nothing_past_the_base() {
     assert!(base.coercion_nodes() > 0);
     assert!(base.compose_pairs() > 0);
 
-    let handles = pool.submit_batch(sources::mixed(7, 64), Engine::MachineS);
+    let boundary_loop = "letrec loop (n : Int) : Bool = \
+                           if n = 0 then true else ((loop : ?) : Int -> Bool) (n - 1) \
+                         in loop 5000";
+    let mut handles: Vec<_> = (0..4)
+        .map(|_| pool.submit_with_fuel(boundary_loop, Engine::MachineS, 200_000))
+        .collect();
+    while pool.queue_depth() > 0 {
+        std::thread::yield_now();
+    }
+    handles.extend(pool.submit_batch(sources::mixed(7, 60), Engine::MachineS));
     for handle in handles {
         // Run errors (the divergent shape's fuel exhaustion) are
         // legitimate outcomes; compile errors are not.
