@@ -427,7 +427,7 @@ fn random_source(seed: u64) -> String {
     ];
     const WIDE: &[&str] = &["\u{e9}", "\u{3bb}", "\u{2192}", "\u{1f600}", "#"];
     let mut chooser = Chooser::new(seed);
-    let mut piece = |chooser: &mut Chooser| {
+    let piece = |chooser: &mut Chooser| {
         if chooser.pick(32) == 0 {
             WIDE[chooser.pick(WIDE.len())]
         } else {
