@@ -2,7 +2,9 @@
 //!
 //! Comments run from `--` to the end of the line. Identifiers are
 //! ASCII `[a-zA-Z_][a-zA-Z0-9_']*`; keywords are carved out of the
-//! identifier space.
+//! identifier space. The lexer dispatches on bytes and allocates only
+//! the token vector: an identifier token borrows its text from the
+//! source (see [`crate::token`]).
 
 use crate::diagnostics::{Diagnostic, Span};
 use crate::token::{Token, TokenKind};
@@ -13,93 +15,59 @@ use crate::token::{Token, TokenKind};
 ///
 /// Returns a [`Diagnostic`] on unrecognised characters or malformed
 /// integer literals.
-pub fn lex(source: &str) -> Result<Vec<Token>, Diagnostic> {
+pub fn lex(source: &str) -> Result<Vec<Token<'_>>, Diagnostic> {
     let bytes = source.as_bytes();
-    let mut tokens = Vec::new();
+    // Tokens average a few bytes of source each, whitespace included.
+    let mut tokens = Vec::with_capacity(bytes.len() / 2 + 1);
     let mut i = 0usize;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        // Whitespace.
-        if c.is_ascii_whitespace() {
-            i += 1;
-            continue;
-        }
-        // Comments: -- to end of line.
-        if c == '-' && bytes.get(i + 1) == Some(&b'-') {
-            while i < bytes.len() && bytes[i] != b'\n' {
-                i += 1;
-            }
-            continue;
-        }
+    while let Some(&b) = bytes.get(i) {
         let start = i;
-        // Integer literals.
-        if c.is_ascii_digit() {
-            while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
+        let next = bytes.get(i + 1).copied();
+        let (kind, len) = match b {
+            _ if b.is_ascii_whitespace() => {
                 i += 1;
+                continue;
             }
-            let text = &source[start..i];
-            let value: i64 = text.parse().map_err(|_| {
-                Diagnostic::new(
-                    format!("integer literal `{text}` is out of range"),
-                    Span::new(start, i),
-                )
-            })?;
-            tokens.push(Token {
-                kind: TokenKind::Int(value),
-                span: Span::new(start, i),
-            });
-            continue;
-        }
-        // Identifiers and keywords.
-        if c.is_ascii_alphabetic() || c == '_' {
-            while i < bytes.len() {
-                let ch = bytes[i] as char;
-                if ch.is_ascii_alphanumeric() || ch == '_' || ch == '\'' {
-                    i += 1;
-                } else {
-                    break;
-                }
+            // Comments: -- to end of line.
+            b'-' if next == Some(b'-') => {
+                i = bytes[i..]
+                    .iter()
+                    .position(|&c| c == b'\n')
+                    .map_or(bytes.len(), |n| i + n);
+                continue;
             }
-            let text = &source[start..i];
-            let kind = match text {
-                "fun" => TokenKind::Fun,
-                "let" => TokenKind::Let,
-                "letrec" => TokenKind::Letrec,
-                "in" => TokenKind::In,
-                "if" => TokenKind::If,
-                "then" => TokenKind::Then,
-                "else" => TokenKind::Else,
-                "true" => TokenKind::True,
-                "false" => TokenKind::False,
-                "not" => TokenKind::Not,
-                "and" => TokenKind::And,
-                "or" => TokenKind::Or,
-                "quot" => TokenKind::Quot,
-                "rem" => TokenKind::Rem,
-                "Int" => TokenKind::TyInt,
-                "Bool" => TokenKind::TyBool,
-                _ => TokenKind::Ident(text.to_owned()),
-            };
-            tokens.push(Token {
-                kind,
-                span: Span::new(start, i),
-            });
-            continue;
-        }
-        // Symbols.
-        let (kind, len) = match c {
-            '?' => (TokenKind::Question, 1),
-            '(' => (TokenKind::LParen, 1),
-            ')' => (TokenKind::RParen, 1),
-            ':' => (TokenKind::Colon, 1),
-            '+' => (TokenKind::Plus, 1),
-            '*' => (TokenKind::Star, 1),
-            '=' if bytes.get(i + 1) == Some(&b'>') => (TokenKind::FatArrow, 2),
-            '=' => (TokenKind::Equals, 1),
-            '-' if bytes.get(i + 1) == Some(&b'>') => (TokenKind::Arrow, 2),
-            '-' => (TokenKind::Minus, 1),
-            '<' if bytes.get(i + 1) == Some(&b'=') => (TokenKind::LessEq, 2),
-            '<' => (TokenKind::Less, 1),
+            b'0'..=b'9' => {
+                let len = span_of(&bytes[i..], |c| c.is_ascii_digit());
+                let digits = &bytes[i..i + len];
+                let value = digits.iter().try_fold(0i64, |n, &d| {
+                    n.checked_mul(10)?.checked_add(i64::from(d - b'0'))
+                });
+                let Some(value) = value else {
+                    return Err(Diagnostic::new(
+                        format!("integer literal `{}` is out of range", &source[i..i + len]),
+                        Span::new(start, i + len),
+                    ));
+                };
+                (TokenKind::Int(value), len)
+            }
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                let len = span_of(&bytes[i..], |c| {
+                    c.is_ascii_alphanumeric() || c == b'_' || c == b'\''
+                });
+                (keyword_or_ident(&source[i..i + len]), len)
+            }
+            b'?' => (TokenKind::Question, 1),
+            b'(' => (TokenKind::LParen, 1),
+            b')' => (TokenKind::RParen, 1),
+            b':' => (TokenKind::Colon, 1),
+            b'+' => (TokenKind::Plus, 1),
+            b'*' => (TokenKind::Star, 1),
+            b'=' if next == Some(b'>') => (TokenKind::FatArrow, 2),
+            b'=' => (TokenKind::Equals, 1),
+            b'-' if next == Some(b'>') => (TokenKind::Arrow, 2),
+            b'-' => (TokenKind::Minus, 1),
+            b'<' if next == Some(b'=') => (TokenKind::LessEq, 2),
+            b'<' => (TokenKind::Less, 1),
             _ => {
                 // `i` is always on a character boundary: only ASCII
                 // bytes and whole comment lines are skipped.
@@ -123,11 +91,40 @@ pub fn lex(source: &str) -> Result<Vec<Token>, Diagnostic> {
     Ok(tokens)
 }
 
+/// The length of the longest prefix of `bytes` whose bytes satisfy
+/// `pred`.
+fn span_of(bytes: &[u8], pred: impl Fn(u8) -> bool) -> usize {
+    bytes.iter().position(|&c| !pred(c)).unwrap_or(bytes.len())
+}
+
+/// The keyword spelled `text`, or an identifier borrowing it.
+fn keyword_or_ident(text: &str) -> TokenKind<'_> {
+    match text {
+        "fun" => TokenKind::Fun,
+        "let" => TokenKind::Let,
+        "letrec" => TokenKind::Letrec,
+        "in" => TokenKind::In,
+        "if" => TokenKind::If,
+        "then" => TokenKind::Then,
+        "else" => TokenKind::Else,
+        "true" => TokenKind::True,
+        "false" => TokenKind::False,
+        "not" => TokenKind::Not,
+        "and" => TokenKind::And,
+        "or" => TokenKind::Or,
+        "quot" => TokenKind::Quot,
+        "rem" => TokenKind::Rem,
+        "Int" => TokenKind::TyInt,
+        "Bool" => TokenKind::TyBool,
+        _ => TokenKind::Ident(text),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -138,12 +135,12 @@ mod tests {
             vec![
                 TokenKind::Fun,
                 TokenKind::LParen,
-                TokenKind::Ident("x".into()),
+                TokenKind::Ident("x"),
                 TokenKind::Colon,
                 TokenKind::TyInt,
                 TokenKind::RParen,
                 TokenKind::FatArrow,
-                TokenKind::Ident("x".into()),
+                TokenKind::Ident("x"),
                 TokenKind::Plus,
                 TokenKind::Int(1),
                 TokenKind::Eof,
@@ -185,7 +182,7 @@ mod tests {
     fn primes_in_identifiers() {
         assert_eq!(
             kinds("even'"),
-            vec![TokenKind::Ident("even'".into()), TokenKind::Eof]
+            vec![TokenKind::Ident("even'"), TokenKind::Eof]
         );
     }
 

@@ -8,7 +8,9 @@
 //! λB terms. This crate is that front end:
 //!
 //! * [`lexer`]/[`parser`] — a hand-written lexer and recursive-descent
-//!   parser with source spans;
+//!   parser with source spans: [`token`]s are `Copy` and borrow
+//!   identifiers from the source, and binary operators are parsed by
+//!   one precedence-climbing loop;
 //! * [`ast`] — the surface syntax;
 //! * [`elaborate`](mod@elaborate) — the gradual type checker *and* cast-insertion
 //!   pass: it checks consistency (`∼`) where a static checker would
@@ -56,11 +58,13 @@ pub fn compile(source: &str) -> Result<Program, Diagnostic> {
     elaborate(&expr)
 }
 
-/// The allocation-free front end: annotations are interned *at parse
-/// time* ([`parser::parse_in`]) and elaboration emits the compiled λB
-/// IR directly ([`elaborate_compiled`]) — no `Rc<Type>` spine and no
+/// The interning front end: annotations are interned *at parse time*
+/// ([`parser::parse_in`]) and elaboration emits the compiled λB IR
+/// directly ([`elaborate_compiled`]) — no `Rc<Type>` spine and no
 /// `Rc<Term>` tree is ever built. Against a warm arena the whole
-/// source-to-λB pass allocates nothing in the arena at all.
+/// source-to-λB pass interns nothing new in the arena. It still
+/// allocates on the heap: the token vector, the surface AST (one
+/// `String` per identifier occurrence) and the λB IR.
 ///
 /// # Errors
 ///

@@ -1,22 +1,27 @@
 //! Recursive-descent parser for the GTLC surface syntax.
 //!
 //! ```text
-//! expr     := lambda | let | letrec | if | or
+//! expr     := lambda | let | letrec | if | binary
 //! lambda   := "fun" (ident | "(" ident ":" type ")") "=>" expr
 //! let      := "let" ident (":" type)? "=" expr "in" expr
 //! letrec   := "letrec" ident "(" ident ":" type ")" ":" type "=" expr "in" expr
 //! if       := "if" expr "then" expr "else" expr
-//! or       := and ("or" and)*
-//! and      := cmp ("and" cmp)*
-//! cmp      := add (("=" | "<" | "<=") add)?
-//! add      := mul (("+" | "-") mul)*
-//! mul      := unary (("*" | "quot" | "rem") unary)*
+//! binary   := unary (binop unary)*
 //! unary    := "not" unary | "-" unary | app
 //! app      := atom atom*
 //! atom     := int | "true" | "false" | ident | "(" expr (":" type)? ")"
 //! type     := tyatom ("->" type)?
 //! tyatom   := "Int" | "Bool" | "?" | "(" type ")"
 //! ```
+//!
+//! Binary operators are parsed by one precedence-climbing loop over
+//! one table (`binary_op`), loosest first: `or`, `and`, the
+//! comparisons `=` `<` `<=`, `+` `-`, then `*` `quot` `rem`. Every
+//! level associates to the left except the comparisons, which do not
+//! associate (`a = b = c` is a syntax error at the second `=`).
+//!
+//! Tokens are `Copy` and borrow identifiers from the source, so the
+//! parser copies tokens and allocates only the tree it builds.
 
 use bc_syntax::{BaseType, Op, Type, TypeArena, TypeId};
 
@@ -26,7 +31,7 @@ use crate::token::{Token, TokenKind};
 
 /// How the parser builds type annotations: either as `Rc<Type>` trees
 /// (the classic path) or by interning directly into a [`TypeArena`]
-/// (the allocation-free path — the annotation never exists as a tree).
+/// (the interning path — the annotation never exists as a tree).
 trait TyBuild {
     /// The annotation representation.
     type Ty;
@@ -77,15 +82,8 @@ impl TyBuild for ArenaTy<'_> {
 /// # Errors
 ///
 /// Returns a [`Diagnostic`] at the first syntax error.
-pub fn parse(tokens: &[Token]) -> Result<Expr, Diagnostic> {
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        ty_build: TreeTy,
-    };
-    let e = p.expr()?;
-    p.expect(&TokenKind::Eof, "expected end of input")?;
-    Ok(e)
+pub fn parse(tokens: &[Token<'_>]) -> Result<Expr, Diagnostic> {
+    Parser::run(tokens, TreeTy)
 }
 
 /// Parses a token stream with type annotations interned directly into
@@ -98,68 +96,95 @@ pub fn parse(tokens: &[Token]) -> Result<Expr, Diagnostic> {
 ///
 /// Returns a [`Diagnostic`] at the first syntax error — identical to
 /// the one [`parse`] produces.
-pub fn parse_in(tokens: &[Token], types: &mut TypeArena) -> Result<ExprI, Diagnostic> {
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        ty_build: ArenaTy(types),
-    };
-    let e = p.expr()?;
-    p.expect(&TokenKind::Eof, "expected end of input")?;
-    Ok(e)
+pub fn parse_in(tokens: &[Token<'_>], types: &mut TypeArena) -> Result<ExprI, Diagnostic> {
+    Parser::run(tokens, ArenaTy(types))
 }
 
-struct Parser<'a, B> {
-    tokens: &'a [Token],
+/// The precedence of the comparisons, the one non-associative level.
+const CMP: u8 = 3;
+
+/// The binary operator `kind` spells and its precedence (higher binds
+/// tighter), or `None` if `kind` is not a binary operator.
+fn binary_op(kind: TokenKind<'_>) -> Option<(Op, u8)> {
+    Some(match kind {
+        TokenKind::Or => (Op::Or, 1),
+        TokenKind::And => (Op::And, 2),
+        TokenKind::Equals => (Op::Eq, CMP),
+        TokenKind::Less => (Op::Lt, CMP),
+        TokenKind::LessEq => (Op::Leq, CMP),
+        TokenKind::Plus => (Op::Add, 4),
+        TokenKind::Minus => (Op::Sub, 4),
+        TokenKind::Star => (Op::Mul, 5),
+        TokenKind::Quot => (Op::Quot, 5),
+        TokenKind::Rem => (Op::Rem, 5),
+        _ => return None,
+    })
+}
+
+/// A cursor over a token stream that ends with `Eof`. `pos` never
+/// moves past the last token, so `peek` always has one to copy.
+struct Parser<'t, 'src, B> {
+    tokens: &'t [Token<'src>],
     pos: usize,
     ty_build: B,
 }
 
-impl<'a, B: TyBuild> Parser<'a, B> {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
+impl<'src, B: TyBuild> Parser<'_, 'src, B> {
+    fn run(tokens: &[Token<'src>], ty_build: B) -> Result<Expr<B::Ty>, Diagnostic> {
+        let mut p = Parser {
+            tokens,
+            pos: 0,
+            ty_build,
+        };
+        let e = p.expr()?;
+        p.expect(TokenKind::Eof, "expected end of input")?;
+        Ok(e)
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.peek().clone();
-        if self.pos < self.tokens.len() - 1 {
+    fn peek(&self) -> Token<'src> {
+        self.tokens[self.pos]
+    }
+
+    fn bump(&mut self) -> Token<'src> {
+        let t = self.peek();
+        if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
         t
     }
 
-    fn eat(&mut self, kind: &TokenKind) -> bool {
-        if &self.peek().kind == kind {
+    fn eat(&mut self, kind: TokenKind<'_>) -> bool {
+        let found = self.peek().kind == kind;
+        if found {
             self.bump();
-            true
+        }
+        found
+    }
+
+    /// The diagnostic `"{message}, found `{next token}`"` at the next
+    /// token.
+    #[cold]
+    fn error(&self, message: &str) -> Diagnostic {
+        let t = self.peek();
+        Diagnostic::new(format!("{message}, found `{}`", t.kind), t.span)
+    }
+
+    /// Consumes a `kind` token and returns its span.
+    fn expect(&mut self, kind: TokenKind<'_>, message: &str) -> Result<Span, Diagnostic> {
+        if self.peek().kind == kind {
+            Ok(self.bump().span)
         } else {
-            false
+            Err(self.error(message))
         }
     }
 
-    fn expect(&mut self, kind: &TokenKind, message: &str) -> Result<Token, Diagnostic> {
-        if &self.peek().kind == kind {
-            Ok(self.bump())
-        } else {
-            Err(Diagnostic::new(
-                format!("{message}, found `{}`", self.peek().kind),
-                self.peek().span,
-            ))
-        }
-    }
-
-    fn ident(&mut self, message: &str) -> Result<(String, Span), Diagnostic> {
-        match &self.peek().kind {
-            TokenKind::Ident(s) => {
-                let s = s.clone();
-                let span = self.peek().span;
+    fn ident(&mut self, message: &str) -> Result<String, Diagnostic> {
+        match self.peek().kind {
+            TokenKind::Ident(name) => {
                 self.bump();
-                Ok((s, span))
+                Ok(name.to_owned())
             }
-            other => Err(Diagnostic::new(
-                format!("{message}, found `{other}`"),
-                self.peek().span,
-            )),
+            _ => Err(self.error(message)),
         }
     }
 
@@ -169,25 +194,24 @@ impl<'a, B: TyBuild> Parser<'a, B> {
             TokenKind::Let => self.let_(),
             TokenKind::Letrec => self.letrec(),
             TokenKind::If => self.if_(),
-            _ => self.or(),
+            _ => self.binary(1),
         }
     }
 
     fn lambda(&mut self) -> Result<Expr<B::Ty>, Diagnostic> {
-        let start = self.expect(&TokenKind::Fun, "expected `fun`")?.span;
-        let (param, ty) = if self.eat(&TokenKind::LParen) {
-            let (name, _) = self.ident("expected a parameter name")?;
-            self.expect(&TokenKind::Colon, "expected `:` after parameter name")?;
+        let start = self.bump().span;
+        let (param, ty) = if self.eat(TokenKind::LParen) {
+            let name = self.ident("expected a parameter name")?;
+            self.expect(TokenKind::Colon, "expected `:` after parameter name")?;
             let ty = self.ty()?;
-            self.expect(&TokenKind::RParen, "expected `)` after parameter type")?;
+            self.expect(TokenKind::RParen, "expected `)` after parameter type")?;
             (name, ty)
         } else {
             // Unannotated parameter: dynamically typed.
-            let (name, _) = self.ident("expected a parameter")?;
-            let dyn_ty = self.ty_build.dynamic();
-            (name, dyn_ty)
+            let name = self.ident("expected a parameter")?;
+            (name, self.ty_build.dynamic())
         };
-        self.expect(&TokenKind::FatArrow, "expected `=>` after parameter")?;
+        self.expect(TokenKind::FatArrow, "expected `=>` after parameter")?;
         let body = self.expr()?;
         let span = start.merge(body.span);
         Ok(Expr::new(
@@ -201,16 +225,16 @@ impl<'a, B: TyBuild> Parser<'a, B> {
     }
 
     fn let_(&mut self) -> Result<Expr<B::Ty>, Diagnostic> {
-        let start = self.expect(&TokenKind::Let, "expected `let`")?.span;
-        let (name, _) = self.ident("expected a name after `let`")?;
-        let ty = if self.eat(&TokenKind::Colon) {
+        let start = self.bump().span;
+        let name = self.ident("expected a name after `let`")?;
+        let ty = if self.eat(TokenKind::Colon) {
             Some(self.ty()?)
         } else {
             None
         };
-        self.expect(&TokenKind::Equals, "expected `=` in let binding")?;
+        self.expect(TokenKind::Equals, "expected `=` in let binding")?;
         let bound = self.expr()?;
-        self.expect(&TokenKind::In, "expected `in` after let binding")?;
+        self.expect(TokenKind::In, "expected `in` after let binding")?;
         let body = self.expr()?;
         let span = start.merge(body.span);
         Ok(Expr::new(
@@ -225,18 +249,18 @@ impl<'a, B: TyBuild> Parser<'a, B> {
     }
 
     fn letrec(&mut self) -> Result<Expr<B::Ty>, Diagnostic> {
-        let start = self.expect(&TokenKind::Letrec, "expected `letrec`")?.span;
-        let (name, _) = self.ident("expected a function name after `letrec`")?;
-        self.expect(&TokenKind::LParen, "expected `(` after function name")?;
-        let (param, _) = self.ident("expected a parameter name")?;
-        self.expect(&TokenKind::Colon, "expected `:` after parameter name")?;
+        let start = self.bump().span;
+        let name = self.ident("expected a function name after `letrec`")?;
+        self.expect(TokenKind::LParen, "expected `(` after function name")?;
+        let param = self.ident("expected a parameter name")?;
+        self.expect(TokenKind::Colon, "expected `:` after parameter name")?;
         let param_ty = self.ty()?;
-        self.expect(&TokenKind::RParen, "expected `)` after parameter type")?;
-        self.expect(&TokenKind::Colon, "expected `:` before the result type")?;
+        self.expect(TokenKind::RParen, "expected `)` after parameter type")?;
+        self.expect(TokenKind::Colon, "expected `:` before the result type")?;
         let result_ty = self.ty()?;
-        self.expect(&TokenKind::Equals, "expected `=` in letrec binding")?;
+        self.expect(TokenKind::Equals, "expected `=` in letrec binding")?;
         let fun_body = self.expr()?;
-        self.expect(&TokenKind::In, "expected `in` after letrec binding")?;
+        self.expect(TokenKind::In, "expected `in` after letrec binding")?;
         let body = self.expr()?;
         let span = start.merge(body.span);
         Ok(Expr::new(
@@ -253,11 +277,11 @@ impl<'a, B: TyBuild> Parser<'a, B> {
     }
 
     fn if_(&mut self) -> Result<Expr<B::Ty>, Diagnostic> {
-        let start = self.expect(&TokenKind::If, "expected `if`")?.span;
+        let start = self.bump().span;
         let cond = self.expr()?;
-        self.expect(&TokenKind::Then, "expected `then`")?;
+        self.expect(TokenKind::Then, "expected `then`")?;
         let then_ = self.expr()?;
-        self.expect(&TokenKind::Else, "expected `else`")?;
+        self.expect(TokenKind::Else, "expected `else`")?;
         let else_ = self.expr()?;
         let span = start.merge(else_.span);
         Ok(Expr::new(
@@ -266,98 +290,49 @@ impl<'a, B: TyBuild> Parser<'a, B> {
         ))
     }
 
-    fn or(&mut self) -> Result<Expr<B::Ty>, Diagnostic> {
-        let mut lhs = self.and()?;
-        while self.eat(&TokenKind::Or) {
-            let rhs = self.and()?;
-            let span = lhs.span.merge(rhs.span);
-            lhs = Expr::new(ExprKind::Prim(Op::Or, vec![lhs, rhs]), span);
-        }
-        Ok(lhs)
-    }
-
-    fn and(&mut self) -> Result<Expr<B::Ty>, Diagnostic> {
-        let mut lhs = self.cmp()?;
-        while self.eat(&TokenKind::And) {
-            let rhs = self.cmp()?;
-            let span = lhs.span.merge(rhs.span);
-            lhs = Expr::new(ExprKind::Prim(Op::And, vec![lhs, rhs]), span);
-        }
-        Ok(lhs)
-    }
-
-    fn cmp(&mut self) -> Result<Expr<B::Ty>, Diagnostic> {
-        let lhs = self.add()?;
-        let op = match self.peek().kind {
-            TokenKind::Equals => Some(Op::Eq),
-            TokenKind::Less => Some(Op::Lt),
-            TokenKind::LessEq => Some(Op::Leq),
-            _ => None,
-        };
-        if let Some(op) = op {
-            self.bump();
-            let rhs = self.add()?;
-            let span = lhs.span.merge(rhs.span);
-            Ok(Expr::new(ExprKind::Prim(op, vec![lhs, rhs]), span))
-        } else {
-            Ok(lhs)
-        }
-    }
-
-    fn add(&mut self) -> Result<Expr<B::Ty>, Diagnostic> {
-        let mut lhs = self.mul()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Plus => Op::Add,
-                TokenKind::Minus => Op::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.mul()?;
-            let span = lhs.span.merge(rhs.span);
-            lhs = Expr::new(ExprKind::Prim(op, vec![lhs, rhs]), span);
-        }
-        Ok(lhs)
-    }
-
-    fn mul(&mut self) -> Result<Expr<B::Ty>, Diagnostic> {
+    /// Precedence climbing: parses operators of precedence at least
+    /// `min`. The right operand of an operator of precedence `p` takes
+    /// only operators tighter than `p`, which makes every level left
+    /// associative; after a comparison the loop also stops at the next
+    /// comparison, which leaves it for the caller to reject.
+    fn binary(&mut self, min: u8) -> Result<Expr<B::Ty>, Diagnostic> {
         let mut lhs = self.unary()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Star => Op::Mul,
-                TokenKind::Quot => Op::Quot,
-                TokenKind::Rem => Op::Rem,
-                _ => break,
-            };
+        let mut limit = u8::MAX;
+        while let Some((op, prec)) = binary_op(self.peek().kind) {
+            if prec < min || prec >= limit {
+                break;
+            }
             self.bump();
-            let rhs = self.unary()?;
+            let rhs = self.binary(prec + 1)?;
             let span = lhs.span.merge(rhs.span);
             lhs = Expr::new(ExprKind::Prim(op, vec![lhs, rhs]), span);
+            limit = if prec == CMP { CMP } else { prec + 1 };
         }
         Ok(lhs)
     }
 
     fn unary(&mut self) -> Result<Expr<B::Ty>, Diagnostic> {
-        match self.peek().kind {
-            TokenKind::Not => {
-                let start = self.bump().span;
-                let e = self.unary()?;
-                let span = start.merge(e.span);
-                Ok(Expr::new(ExprKind::Prim(Op::Not, vec![e]), span))
-            }
-            TokenKind::Minus => {
-                let start = self.bump().span;
-                let e = self.unary()?;
-                let span = start.merge(e.span);
-                Ok(Expr::new(ExprKind::Prim(Op::Neg, vec![e]), span))
-            }
-            _ => self.app(),
-        }
+        let op = match self.peek().kind {
+            TokenKind::Not => Op::Not,
+            TokenKind::Minus => Op::Neg,
+            _ => return self.app(),
+        };
+        let start = self.bump().span;
+        let e = self.unary()?;
+        let span = start.merge(e.span);
+        Ok(Expr::new(ExprKind::Prim(op, vec![e]), span))
     }
 
     fn app(&mut self) -> Result<Expr<B::Ty>, Diagnostic> {
         let mut fun = self.atom()?;
-        while self.starts_atom() {
+        while matches!(
+            self.peek().kind,
+            TokenKind::Int(_)
+                | TokenKind::Ident(_)
+                | TokenKind::True
+                | TokenKind::False
+                | TokenKind::LParen
+        ) {
             let arg = self.atom()?;
             let span = fun.span.merge(arg.span);
             fun = Expr::new(ExprKind::App(Box::new(fun), Box::new(arg)), span);
@@ -365,93 +340,56 @@ impl<'a, B: TyBuild> Parser<'a, B> {
         Ok(fun)
     }
 
-    fn starts_atom(&self) -> bool {
-        matches!(
-            self.peek().kind,
-            TokenKind::Int(_)
-                | TokenKind::Ident(_)
-                | TokenKind::True
-                | TokenKind::False
-                | TokenKind::LParen
-        )
-    }
-
     fn atom(&mut self) -> Result<Expr<B::Ty>, Diagnostic> {
-        let tok = self.peek().clone();
-        match tok.kind {
-            TokenKind::Int(n) => {
-                self.bump();
-                Ok(Expr::new(ExprKind::Int(n), tok.span))
-            }
-            TokenKind::True => {
-                self.bump();
-                Ok(Expr::new(ExprKind::Bool(true), tok.span))
-            }
-            TokenKind::False => {
-                self.bump();
-                Ok(Expr::new(ExprKind::Bool(false), tok.span))
-            }
-            TokenKind::Ident(name) => {
-                self.bump();
-                Ok(Expr::new(ExprKind::Var(name), tok.span))
-            }
+        let open = self.peek().span;
+        let kind = match self.peek().kind {
+            TokenKind::Int(n) => ExprKind::Int(n),
+            TokenKind::True => ExprKind::Bool(true),
+            TokenKind::False => ExprKind::Bool(false),
+            TokenKind::Ident(name) => ExprKind::Var(name.to_owned()),
             TokenKind::LParen => {
                 self.bump();
                 let inner = self.expr()?;
-                if self.eat(&TokenKind::Colon) {
+                let (kind, message) = if self.eat(TokenKind::Colon) {
                     let ty = self.ty()?;
-                    let close = self.expect(&TokenKind::RParen, "expected `)` after ascription")?;
-                    let span = tok.span.merge(close.span);
-                    Ok(Expr::new(ExprKind::Ascribe(Box::new(inner), ty), span))
+                    let kind = ExprKind::Ascribe(Box::new(inner), ty);
+                    (kind, "expected `)` after ascription")
                 } else {
-                    let close = self.expect(&TokenKind::RParen, "expected `)`")?;
-                    let span = tok.span.merge(close.span);
-                    Ok(Expr::new(inner.kind, span))
-                }
+                    (inner.kind, "expected `)`")
+                };
+                let close = self.expect(TokenKind::RParen, message)?;
+                return Ok(Expr::new(kind, open.merge(close)));
             }
-            other => Err(Diagnostic::new(
-                format!("expected an expression, found `{other}`"),
-                tok.span,
-            )),
-        }
+            _ => return Err(self.error("expected an expression")),
+        };
+        self.bump();
+        Ok(Expr::new(kind, open))
     }
 
     fn ty(&mut self) -> Result<B::Ty, Diagnostic> {
         let lhs = self.ty_atom()?;
-        if self.eat(&TokenKind::Arrow) {
-            let rhs = self.ty()?;
-            Ok(self.ty_build.fun(lhs, rhs))
-        } else {
-            Ok(lhs)
+        if !self.eat(TokenKind::Arrow) {
+            return Ok(lhs);
         }
+        let rhs = self.ty()?;
+        Ok(self.ty_build.fun(lhs, rhs))
     }
 
     fn ty_atom(&mut self) -> Result<B::Ty, Diagnostic> {
-        let tok = self.peek().clone();
-        match tok.kind {
-            TokenKind::TyInt => {
-                self.bump();
-                Ok(self.ty_build.base(BaseType::Int))
-            }
-            TokenKind::TyBool => {
-                self.bump();
-                Ok(self.ty_build.base(BaseType::Bool))
-            }
-            TokenKind::Question => {
-                self.bump();
-                Ok(self.ty_build.dynamic())
-            }
+        let ty = match self.peek().kind {
+            TokenKind::TyInt => self.ty_build.base(BaseType::Int),
+            TokenKind::TyBool => self.ty_build.base(BaseType::Bool),
+            TokenKind::Question => self.ty_build.dynamic(),
             TokenKind::LParen => {
                 self.bump();
                 let t = self.ty()?;
-                self.expect(&TokenKind::RParen, "expected `)` in type")?;
-                Ok(t)
+                self.expect(TokenKind::RParen, "expected `)` in type")?;
+                return Ok(t);
             }
-            other => Err(Diagnostic::new(
-                format!("expected a type, found `{other}`"),
-                tok.span,
-            )),
-        }
+            _ => return Err(self.error("expected a type")),
+        };
+        self.bump();
+        Ok(ty)
     }
 }
 

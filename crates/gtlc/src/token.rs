@@ -1,16 +1,20 @@
 //! Tokens of the GTLC surface syntax.
+//!
+//! Tokens are `Copy`: an identifier borrows its text from the source
+//! it was lexed from, so lexing allocates nothing per token and the
+//! parser copies tokens instead of cloning them.
 
 use std::fmt;
 
 use crate::diagnostics::Span;
 
-/// A lexical token.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokenKind {
+/// A lexical token, borrowing identifiers from the source `'src`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TokenKind<'src> {
     /// An integer literal.
     Int(i64),
-    /// An identifier.
-    Ident(String),
+    /// An identifier, as a slice of the source.
+    Ident(&'src str),
     /// `fun`
     Fun,
     /// `let`
@@ -71,11 +75,11 @@ pub enum TokenKind {
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Int(n) => write!(f, "{n}"),
-            TokenKind::Ident(s) => write!(f, "{s}"),
+            TokenKind::Ident(s) => f.write_str(s),
             TokenKind::Fun => f.write_str("fun"),
             TokenKind::Let => f.write_str("let"),
             TokenKind::Letrec => f.write_str("letrec"),
@@ -110,10 +114,10 @@ impl fmt::Display for TokenKind {
 }
 
 /// A token with its source span.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Token<'src> {
     /// What was lexed.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'src>,
     /// Where it was lexed.
     pub span: Span,
 }
