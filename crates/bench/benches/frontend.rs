@@ -21,11 +21,17 @@
 //!   (`elaborate_compiled` over a pre-parsed `ExprI`): annotations are
 //!   interned once at parse time, so warm elaboration never re-walks
 //!   an annotation tree.
+//! * **Lexing and parsing** — `lex_parse` lexes and parses the
+//!   wrapper tower and the call-heavy program: `tree` with [`parse`]
+//!   (annotations as `Rc<Type>` trees), `interned` with [`parse_in`]
+//!   against a warm arena, which is what `Session::compile` runs.
 
 use bc_bench::frontend_workload::{BATCH, CALLS, CALL_DEPTH, TOWER};
 use bc_bench::{
     boundary_source, call_heavy_source, parse_source, parse_source_in, wrapper_tower_source,
 };
+use bc_gtlc::lexer::lex;
+use bc_gtlc::parser::{parse, parse_in};
 use bc_gtlc::{elaborate, elaborate_compiled};
 use bc_lambda_b::typing::{type_of, type_of_interned};
 use bc_syntax::TypeArena;
@@ -87,6 +93,28 @@ fn bench_frontend(c: &mut Criterion) {
         b.iter(|| {
             for e in &exprs_i {
                 black_box(elaborate_compiled(black_box(e), &mut types).expect("elaborates"));
+            }
+        })
+    });
+
+    let sources = [
+        wrapper_tower_source(TOWER),
+        call_heavy_source(CALL_DEPTH, CALLS),
+    ];
+    group.bench_function("lex_parse/tree", |b| {
+        b.iter(|| {
+            for s in &sources {
+                let tokens = lex(black_box(s)).expect("lexes");
+                black_box(parse(&tokens).expect("parses"));
+            }
+        })
+    });
+    group.bench_function("lex_parse/interned", |b| {
+        let mut types = TypeArena::new();
+        b.iter(|| {
+            for s in &sources {
+                let tokens = lex(black_box(s)).expect("lexes");
+                black_box(parse_in(&tokens, &mut types).expect("parses"));
             }
         })
     });
