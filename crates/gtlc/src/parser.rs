@@ -161,8 +161,8 @@ impl<'src, B: TyBuild> Parser<'_, 'src, B> {
         found
     }
 
-    /// The diagnostic `"{message}, found `{next token}`"` at the next
-    /// token.
+    /// A diagnostic at the next token: `message`, then what was found
+    /// there.
     #[cold]
     fn error(&self, message: &str) -> Diagnostic {
         let t = self.peek();
