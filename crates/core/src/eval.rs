@@ -222,12 +222,11 @@ fn step_sub(ctx: &mut MergeCtx, term: &Term) -> Sub {
 fn apply(fun: &Term, arg: &Term) -> Sub {
     match fun {
         Term::Lam(x, _, body) => Sub::Stepped(subst(body, x, arg)),
-        // A parameter named like the function shadows it (see the λB
-        // rule).
-        Term::Fix(f, x, _, _, body) if f == x => Sub::Stepped(subst(body, x, arg)),
+        // N[x := V][f := fix …]: the parameter shadows the function
+        // name (V is closed, so the second substitution misses it).
         Term::Fix(f, x, _, _, body) => {
-            let unrolled = subst(body, f, fun);
-            Sub::Stepped(subst(&unrolled, x, arg))
+            let applied = subst(body, x, arg);
+            Sub::Stepped(subst(&applied, f, fun))
         }
         // (U⟨s→t⟩) V ⟶ (U (V⟨s⟩))⟨t⟩
         Term::Coerce(u, SpaceCoercion::Mid(Intermediate::Ground(GroundCoercion::Fun(s, t)))) => {
@@ -462,12 +461,10 @@ fn step_sub_compiled(arena: &mut CoercionArena, cache: &mut ComposeCache, term: 
 fn apply_compiled(arena: &CoercionArena, fun: &STerm, arg: &STerm) -> SubC {
     match fun {
         STerm::Lam(x, _, body) => SubC::Stepped(subst_compiled(body, x, arg)),
-        // A parameter named like the function shadows it, as in the
-        // tree rule.
-        STerm::Fix(f, x, _, _, body) if f == x => SubC::Stepped(subst_compiled(body, x, arg)),
+        // N[x := V][f := fix …], as in the tree rule.
         STerm::Fix(f, x, _, _, body) => {
-            let unrolled = subst_compiled(body, f, fun);
-            SubC::Stepped(subst_compiled(&unrolled, x, arg))
+            let applied = subst_compiled(body, x, arg);
+            SubC::Stepped(subst_compiled(&applied, f, fun))
         }
         // (U⟨s→t⟩) V ⟶ (U (V⟨s⟩))⟨t⟩
         STerm::Coerce(u, c) => match arena.node(*c) {

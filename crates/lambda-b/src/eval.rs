@@ -206,12 +206,14 @@ fn apply(fun: &Term, arg: &Term) -> Sub {
     match fun {
         // (λx:A. N) V ⟶ N[x := V]
         Term::Lam(x, _, body) => Sub::Stepped(subst(body, x, arg)),
-        // (fix f (x:A):B. N) V ⟶ N[f := fix …][x := V], except that
-        // a parameter named like the function shadows it: N[x := V].
-        Term::Fix(f, x, _, _, body) if f == x => Sub::Stepped(subst(body, x, arg)),
+        // (fix f (x:A):B. N) V ⟶ N[x := V][f := fix …]
+        //
+        // The parameter goes first so that it shadows the function
+        // name when the two coincide; V is closed, so the second
+        // substitution never reaches into it.
         Term::Fix(f, x, _, _, body) => {
-            let unrolled = subst(body, f, fun);
-            Sub::Stepped(subst(&unrolled, x, arg))
+            let applied = subst(body, x, arg);
+            Sub::Stepped(subst(&applied, f, fun))
         }
         // (V : A→B ⇒p A'→B') W ⟶ (V (W : A' ⇒p̄ A)) : B ⇒p B'
         //

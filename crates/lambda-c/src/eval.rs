@@ -186,12 +186,11 @@ fn step_sub(term: &Term) -> Sub {
 fn apply(fun: &Term, arg: &Term) -> Sub {
     match fun {
         Term::Lam(x, _, body) => Sub::Stepped(subst(body, x, arg)),
-        // A parameter named like the function shadows it (see the λB
-        // rule).
-        Term::Fix(f, x, _, _, body) if f == x => Sub::Stepped(subst(body, x, arg)),
+        // N[x := V][f := fix …]: the parameter shadows the function
+        // name (see the λB rule).
         Term::Fix(f, x, _, _, body) => {
-            let unrolled = subst(body, f, fun);
-            Sub::Stepped(subst(&unrolled, x, arg))
+            let applied = subst(body, x, arg);
+            Sub::Stepped(subst(&applied, f, fun))
         }
         // (V⟨c→d⟩) W ⟶ (V (W⟨c⟩))⟨d⟩
         Term::Coerce(v, Coercion::Fun(c, d)) => {
