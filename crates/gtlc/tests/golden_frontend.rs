@@ -244,6 +244,16 @@ fn malformed_sources_report_exact_diagnostics() {
         ("a = b = c", "expected end of input, found `=`", (6, 7)),
         ("a < b <= c", "expected end of input, found `<=`", (6, 8)),
         (
+            "a and b = c = d",
+            "expected end of input, found `=`",
+            (12, 13),
+        ),
+        (
+            "a or b < c <= d",
+            "expected end of input, found `<=`",
+            (11, 13),
+        ),
+        (
             "99999999999999999999",
             "integer literal `99999999999999999999` is out of range",
             (0, 20),
