@@ -5,6 +5,8 @@
 //! local interning across all workers on structurally-covered
 //! traffic.
 
+use std::time::{Duration, Instant};
+
 use bc_testkit::sources;
 use blame_coercion::{Engine, JobError, PromotionPolicy, RunError, Session, SessionPool};
 
@@ -102,31 +104,45 @@ fn warmed_pool_workers_intern_nothing_past_the_base() {
     // shared frozen base.
     //
     // Every serving worker must make a coercion probe, so each first
-    // claims one long boundary loop (casts on every iteration): the
-    // pool does not slice, so a worker holds its loop until it ends
-    // and four claimed loops sit on four distinct workers. Only then
-    // does the mixed batch go in; otherwise a worker whose steals
-    // happened to be cast-free jobs would probe no coercion at all.
-    let pool = SessionPool::builder()
-        .workers(4)
-        .default_fuel(10_000)
-        .no_slicing()
-        .warmup(sources::shapes())
-        .build()
-        .expect("warmup compiles");
+    // holds one long boundary loop (casts on every iteration). The
+    // pool does not slice, so a worker serves one job from claim to
+    // resolution: once no loop is queued and none has resolved, the
+    // four loops sit on four distinct workers. A loop can finish
+    // before its siblings are claimed, and its worker can then steal
+    // one of them; that setup is discarded and tried again on a fresh
+    // pool. Only then does the mixed batch go in; otherwise a worker
+    // whose steals happened to be cast-free jobs would probe no
+    // coercion at all.
+    let boundary_loop = "letrec loop (n : Int) : Bool = \
+                           if n = 0 then true else ((loop : ?) : Int -> Bool) (n - 1) \
+                         in loop 5000";
+    let (pool, mut handles) = (0..10)
+        .find_map(|_| {
+            let pool = SessionPool::builder()
+                .workers(4)
+                .default_fuel(10_000)
+                .no_slicing()
+                .warmup(sources::shapes())
+                .build()
+                .expect("warmup compiles");
+            let loops: Vec<_> = (0..4)
+                .map(|_| pool.submit_with_fuel(boundary_loop, Engine::MachineS, 200_000))
+                .collect();
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while pool.queue_depth() > 0 {
+                assert!(Instant::now() < deadline, "the loops were never claimed");
+                std::thread::yield_now();
+            }
+            loops
+                .iter()
+                .all(|h| h.try_wait().is_none())
+                .then_some((pool, loops))
+        })
+        .expect("in ten tries, the four loops never held four workers at once");
     let base = pool.base();
     assert!(base.coercion_nodes() > 0);
     assert!(base.compose_pairs() > 0);
 
-    let boundary_loop = "letrec loop (n : Int) : Bool = \
-                           if n = 0 then true else ((loop : ?) : Int -> Bool) (n - 1) \
-                         in loop 5000";
-    let mut handles: Vec<_> = (0..4)
-        .map(|_| pool.submit_with_fuel(boundary_loop, Engine::MachineS, 200_000))
-        .collect();
-    while pool.queue_depth() > 0 {
-        std::thread::yield_now();
-    }
     handles.extend(pool.submit_batch(sources::mixed(7, 60), Engine::MachineS));
     for handle in handles {
         // Run errors (the divergent shape's fuel exhaustion) are
@@ -632,8 +648,6 @@ fn idle_workers_steal_from_busy_queues() {
 /// numbers live in BENCH_6.json behind `bench_diff`.
 #[test]
 fn warmed_lifecycle_is_not_slower_than_cold() {
-    use std::time::Instant;
-
     const JOB_FUEL: u64 = 5_000;
     const REPS: usize = 9;
 
