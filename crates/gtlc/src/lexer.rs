@@ -17,8 +17,7 @@ use crate::token::{Token, TokenKind};
 /// integer literals.
 pub fn lex(source: &str) -> Result<Vec<Token<'_>>, Diagnostic> {
     let bytes = source.as_bytes();
-    // Tokens average a few bytes of source each, whitespace included.
-    let mut tokens = Vec::with_capacity(bytes.len() / 2 + 1);
+    let mut tokens = Vec::new();
     let mut i = 0usize;
     while let Some(&b) = bytes.get(i) {
         let start = i;
