@@ -110,14 +110,11 @@ fn warmed_pool_workers_intern_nothing_past_the_base() {
     // four loops sit on four distinct workers. A loop can finish
     // before its siblings are claimed, and its worker can then steal
     // one of them; that setup is discarded and tried again on a fresh
-    // pool. Only then does the mixed batch go in; otherwise a worker
-    // whose steals happened to be cast-free jobs would probe no
-    // coercion at all.
-    let boundary_loop = "letrec loop (n : Int) : Bool = \
-                           if n = 0 then true else ((loop : ?) : Int -> Bool) (n - 1) \
-                         in loop 5000";
-    let (pool, mut handles) = (0..10)
-        .find_map(|_| {
+    // pool with loops twice as long. Only then does the mixed batch go
+    // in; otherwise a worker whose steals happened to be cast-free
+    // jobs would probe no coercion at all.
+    let (pool, mut handles) = (0..8)
+        .find_map(|attempt| {
             let pool = SessionPool::builder()
                 .workers(4)
                 .default_fuel(10_000)
@@ -125,8 +122,14 @@ fn warmed_pool_workers_intern_nothing_past_the_base() {
                 .warmup(sources::shapes())
                 .build()
                 .expect("warmup compiles");
+            let n = 5_000u64 << attempt;
+            let boundary_loop = format!(
+                "letrec loop (n : Int) : Bool = \
+                   if n = 0 then true else ((loop : ?) : Int -> Bool) (n - 1) \
+                 in loop {n}"
+            );
             let loops: Vec<_> = (0..4)
-                .map(|_| pool.submit_with_fuel(boundary_loop, Engine::MachineS, 200_000))
+                .map(|_| pool.submit_with_fuel(boundary_loop.as_str(), Engine::MachineS, 40 * n))
                 .collect();
             let deadline = Instant::now() + Duration::from_secs(30);
             while pool.queue_depth() > 0 {
@@ -138,7 +141,7 @@ fn warmed_pool_workers_intern_nothing_past_the_base() {
                 .all(|h| h.try_wait().is_none())
                 .then_some((pool, loops))
         })
-        .expect("in ten tries, the four loops never held four workers at once");
+        .expect("in eight tries, the four loops never held four workers at once");
     let base = pool.base();
     assert!(base.coercion_nodes() > 0);
     assert!(base.compose_pairs() > 0);
