@@ -11,8 +11,8 @@ use std::time::Duration;
 use bc_testkit::sources;
 use blame_coercion::translate::bisim::Observation;
 use blame_coercion::{
-    AuditOutcome, BlameAnalytics, Counter, Engine, Histogram, JobError, PromotionPolicy,
-    SessionPool,
+    AuditOutcome, BlameAnalytics, Counter, Deadline, Engine, Histogram, JobError, PoolStats,
+    PromotionPolicy, SessionPool,
 };
 
 /// Every sample line (`name{labels} value`) in an exposition, keyed
@@ -381,4 +381,172 @@ fn rejected_submissions_are_audited() {
         .filter(|r| r.outcome == AuditOutcome::Rejected)
         .count() as u64;
     assert_eq!(audited_rejects, rejected);
+}
+
+#[test]
+fn exposition_and_stats_agree_after_quiescing() {
+    // `metrics_text()` and `stats()` are two views of one set of
+    // counters: once the pool is quiet, every `bc_*_total` series
+    // must read exactly what the matching `PoolStats` accessor does.
+    // The traffic touches every outcome the pool can produce:
+    // values, blames and fuel exhaustions, a canceled spinner, a
+    // deadline miss, a worker panic (and its respawn), a rejection,
+    // and drift that an eager policy promotes.
+    const SPINNER: &str = "letrec spin (n : Int) : Int = spin (n + 1) in spin 0";
+    let pool = SessionPool::builder()
+        .workers(2)
+        .warmup(sources::shapes())
+        .default_fuel(5_000)
+        .queue_capacity(2)
+        .promotion(PromotionPolicy {
+            min_local_nodes: 1,
+            min_miss_rate: 0.0,
+            min_interval_jobs: 1,
+        })
+        .build()
+        .expect("warmup compiles");
+    // The poison goes first, on an idle pool, and the respawn is
+    // waited for.
+    assert!(matches!(
+        pool.submit_poison().wait(),
+        Err(JobError::WorkerPanicked)
+    ));
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while pool.stats().respawns < 1 {
+        assert!(std::time::Instant::now() < deadline, "respawn never landed");
+        std::thread::yield_now();
+    }
+    // One job at a time, so capacity 2 refuses none of these.
+    let (mut values, mut blamed, mut exhausted) = (0u64, 0u64, 0u64);
+    let traffic = sources::mixed(13, 24)
+        .into_iter()
+        .chain(sources::drifting(17, 24, 6));
+    for source in traffic {
+        match pool.submit(source, Engine::MachineS).wait() {
+            Ok(out) if matches!(out.observation, Observation::Blame(_)) => blamed += 1,
+            Ok(_) => values += 1,
+            Err(JobError::Run(_)) => exhausted += 1,
+            Err(e) => panic!("mixed and drifting traffic resolves cleanly: {e}"),
+        }
+    }
+    assert!(values > 0 && blamed > 0 && exhausted > 0);
+
+    // Round-robin dispatch alternates the two workers: two spinners
+    // go to one, a deadline spinner and a value to the other, and the
+    // fifth submission lands on the first again. Each handle's result
+    // is tallied rather than predicted, because a resolved job's
+    // capacity can be released after its waiter wakes, so any of
+    // these may be refused early. A rejection is certain, though:
+    // either a spinner is refused, or the first and third hold their
+    // worker's capacity and the fifth submission is.
+    let spin =
+        |deadline| pool.submit_with_options(SPINNER, Engine::MachineS, Some(u64::MAX), deadline);
+    let spinners = [
+        spin(None),
+        spin(Some(Deadline::after(Duration::from_millis(5)))),
+        spin(None),
+    ];
+    let extra = [
+        pool.submit("1 + 1", Engine::MachineS),
+        pool.submit("1 + 1", Engine::MachineS),
+    ];
+    let (mut rejected, mut missed, mut canceled) = (0u64, 0u64, 0u64);
+    for handle in extra {
+        match handle.wait() {
+            Ok(_) => values += 1,
+            Err(JobError::Rejected { .. }) => rejected += 1,
+            Err(e) => panic!("a value job resolves to a value or a rejection: {e}"),
+        }
+    }
+    for (i, handle) in spinners.into_iter().enumerate() {
+        // The deadline spinner resolves itself; the others are
+        // canceled (a rejected handle's cancel is a no-op).
+        if i != 1 {
+            handle.cancel();
+        }
+        match handle.wait() {
+            Err(JobError::Rejected { .. }) => rejected += 1,
+            Err(JobError::DeadlineExceeded { .. }) => missed += 1,
+            Err(JobError::Canceled) => canceled += 1,
+            other => panic!("a spinner never finishes: {other:?}"),
+        }
+    }
+    assert!(rejected >= 1, "one of the two workers was full");
+
+    // Quiesce: cancellations are counted at the worker's next slice
+    // boundary, so wait for them. A promotion may still be finishing
+    // behind a reply; counters only grow, so an exposition rendered
+    // between two equal snapshots, and equal to the one before, read
+    // the same cells as both.
+    let key = |s: &PoolStats| {
+        (
+            s.jobs(),
+            s.cancellations(),
+            s.deadline_misses(),
+            s.slices(),
+            s.preemptions(),
+            s.steals(),
+            s.promotions,
+            s.respawns,
+            s.workers.iter().map(|w| w.sessions_retired()).sum::<u64>(),
+        )
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let mut previous = String::new();
+    let (stats, text) = loop {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the pool never quiesced"
+        );
+        let before = pool.stats();
+        let text = pool.metrics_text();
+        let after = pool.stats();
+        if after.cancellations() == canceled && key(&before) == key(&after) && text == previous {
+            break (after, text);
+        }
+        previous = text;
+        std::thread::sleep(Duration::from_millis(1));
+    };
+
+    for (series, expected) in [
+        ("bc_slices_total", stats.slices()),
+        ("bc_preemptions_total", stats.preemptions()),
+        ("bc_steals_total", stats.steals()),
+        ("bc_promotions_total", stats.promotions),
+        ("bc_respawns_total", stats.respawns),
+        (
+            "bc_sessions_retired_total",
+            stats.workers.iter().map(|w| w.sessions_retired()).sum(),
+        ),
+        ("bc_audit_dropped_total", pool.audit_dropped()),
+        (
+            "bc_jobs_total{outcome=\"deadline_exceeded\"}",
+            stats.deadline_misses(),
+        ),
+        ("bc_jobs_total{outcome=\"canceled\"}", stats.cancellations()),
+        (
+            "bc_jobs_total{outcome=\"worker_panicked\"}",
+            stats.workers.iter().map(|w| w.panics).sum(),
+        ),
+        ("bc_jobs_total{outcome=\"value\"}", values),
+        ("bc_jobs_total{outcome=\"blame\"}", blamed),
+        ("bc_jobs_total{outcome=\"fuel_exhausted\"}", exhausted),
+        ("bc_jobs_total{outcome=\"rejected\"}", rejected),
+    ] {
+        assert_eq!(value(&text, series), expected as f64, "{series}\n{text}");
+    }
+    assert!(stats.promotions >= 1, "eager drift must promote: {stats}");
+    assert_eq!(stats.deadline_misses(), missed);
+    assert_eq!(stats.respawns, 1);
+    let resolved: f64 = AuditOutcome::ALL
+        .iter()
+        .filter(|&&o| o != AuditOutcome::Rejected)
+        .map(|o| value(&text, &format!("bc_jobs_total{{outcome=\"{o}\"}}")))
+        .sum();
+    assert_eq!(resolved, stats.jobs() as f64);
+    // Every resolution, rejections included, is one latency sample.
+    assert_eq!(
+        value(&text, "bc_job_latency_ns_count"),
+        (stats.jobs() + rejected) as f64
+    );
 }
