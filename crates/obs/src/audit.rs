@@ -83,12 +83,10 @@ impl AuditOutcome {
         }
     }
 
-    /// The position of this outcome in [`AuditOutcome::ALL`].
+    /// The position of this outcome in [`AuditOutcome::ALL`] (which
+    /// lists the variants in declaration order).
     pub fn index(self) -> usize {
-        AuditOutcome::ALL
-            .iter()
-            .position(|&o| o == self)
-            .expect("ALL is exhaustive")
+        self as usize
     }
 }
 

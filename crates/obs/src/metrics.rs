@@ -205,10 +205,11 @@ impl HistogramSnapshot {
     }
 }
 
-/// One registered instrument.
+/// One registered instrument. A counter series is the sum of its
+/// cells, so a count kept in per-shard cells renders as one series.
 #[derive(Debug, Clone)]
 enum Instrument {
-    Counter(Arc<Counter>),
+    Counter(Vec<Arc<Counter>>),
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
 }
@@ -256,27 +257,22 @@ impl Registry {
     /// exposition emits the header once, at the first series.
     pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
         let counter = Arc::new(Counter::new());
-        self.push(
-            name,
-            help,
-            labels,
-            Instrument::Counter(Arc::clone(&counter)),
-        );
+        self.attach_counter(name, help, labels, std::slice::from_ref(&counter));
         counter
     }
 
-    /// Registers an *existing* counter cell as a series — for
-    /// counters owned elsewhere (e.g. the [`crate::AuditSink`]'s drop
-    /// counter), so one cell is both the live accounting and the
-    /// rendered metric.
+    /// Registers *existing* counter cells as one series whose value is
+    /// their sum at render time — for counts owned elsewhere (one cell
+    /// per worker, or the [`crate::AuditSink`]'s drop counter), so the
+    /// cells stay the only store and the rendered metric reads them.
     pub fn attach_counter(
         &self,
         name: &str,
         help: &str,
         labels: &[(&str, &str)],
-        counter: &Arc<Counter>,
+        cells: &[Arc<Counter>],
     ) {
-        self.push(name, help, labels, Instrument::Counter(Arc::clone(counter)));
+        self.push(name, help, labels, Instrument::Counter(cells.to_vec()));
     }
 
     /// Registers a gauge series and returns its handle.
@@ -289,13 +285,24 @@ impl Registry {
     /// Registers a histogram series and returns its handle.
     pub fn histogram(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
         let histogram = Arc::new(Histogram::new());
+        self.attach_histogram(name, help, labels, &histogram);
+        histogram
+    }
+
+    /// Registers an *existing* histogram as a series.
+    pub fn attach_histogram(
+        &self,
+        name: &str,
+        help: &str,
+        labels: &[(&str, &str)],
+        histogram: &Arc<Histogram>,
+    ) {
         self.push(
             name,
             help,
             labels,
-            Instrument::Histogram(Arc::clone(&histogram)),
+            Instrument::Histogram(Arc::clone(histogram)),
         );
-        histogram
     }
 
     fn push(&self, name: &str, help: &str, labels: &[(&str, &str)], instrument: Instrument) {
@@ -376,9 +383,10 @@ fn escape_label(value: &str) -> String {
 
 fn render_series(out: &mut String, entry: &Entry) {
     match &entry.instrument {
-        Instrument::Counter(c) => {
+        Instrument::Counter(cells) => {
             let labels = label_block(&entry.labels, &[]);
-            writeln!(out, "{}{labels} {}", entry.name, c.get()).expect("string writes");
+            let total: u64 = cells.iter().map(|c| c.get()).sum();
+            writeln!(out, "{}{labels} {total}", entry.name).expect("string writes");
         }
         Instrument::Gauge(g) => {
             let labels = label_block(&entry.labels, &[]);
@@ -470,5 +478,17 @@ mod tests {
         assert!(text.contains("latency_ns_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("latency_ns_sum 901"));
         assert!(text.contains("latency_ns_count 2"));
+    }
+
+    #[test]
+    fn attached_cells_render_as_their_sum() {
+        let registry = Registry::new();
+        let cells: Vec<Arc<Counter>> = (0..3).map(|_| Arc::new(Counter::new())).collect();
+        registry.attach_counter("slices_total", "Slices.", &[], &cells);
+        cells[0].add(2);
+        cells[2].add(5);
+        assert!(registry.render().contains("slices_total 7"));
+        cells[1].inc();
+        assert!(registry.render().contains("slices_total 8"));
     }
 }

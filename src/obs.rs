@@ -1,21 +1,27 @@
-//! The pool's observability bundle: every instrument the
-//! [`SessionPool`](crate::SessionPool) exports, wired to one
-//! [`Registry`], plus the bounded [`AuditSink`] the workers emit
-//! per-job records into.
+//! The pool's counters and its observability bundle.
 //!
-//! The bundle is built once at pool construction (unless
-//! [`SessionPoolBuilder::no_observability`] turned it off) and shared
-//! by reference through `PoolShared`; the hot path touches only
-//! wait-free cells — counter `fetch_add`s, histogram `fetch_add`s,
-//! and the audit ring's short push-only mutex. Gauges (queue depths,
-//! epoch, base hit rates) are *polled*: they are refreshed from a
-//! coherent [`PoolStats`](crate::PoolStats) snapshot at render time
-//! rather than written on the job path, so a gauge read costs serving
-//! nothing.
+//! [`PoolCounters`] is the only store of every count the
+//! [`SessionPool`](crate::SessionPool) keeps: per-worker cells for
+//! resolutions by outcome, steals, slices, preemptions and retired
+//! sessions, plus pool-wide promotions, respawns and the promotion-cost
+//! histogram. Each worker writes only its own cells, with wait-free
+//! `fetch_add`s. [`PoolStats`] is a typed read of these cells, and the
+//! exposition renders the same cells (summed over workers at render
+//! time), so the two views agree by construction. The counters exist
+//! in every pool, because they are `PoolStats`.
+//!
+//! [`PoolObs`] is what [`SessionPoolBuilder::no_observability`] turns
+//! off: the latency and queue-wait histograms, the bounded
+//! [`AuditSink`] the workers emit per-job records into, and the
+//! [`Registry`] that renders everything. Gauges (queue depths, epoch,
+//! base hit rates) are *polled*: they are refreshed from a
+//! [`PoolStats`] snapshot at render time rather than written on the
+//! job path, so a gauge read costs serving nothing.
 //!
 //! [`SessionPoolBuilder::no_observability`]:
 //! crate::SessionPoolBuilder::no_observability
 
+use std::sync::atomic::{AtomicBool, AtomicUsize};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -35,28 +41,64 @@ pub(crate) fn ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// All pool instruments plus the audit sink. Counters are incremented
-/// at the same sites as the `WorkerSlot` accounting they mirror, so
-/// they are monotone across epoch rebuilds, session retirements, and
-/// worker respawns by construction — nothing is re-derived from a
-/// session that could be retired out from under it.
+/// One worker's counters. The worker is the only writer, except for
+/// the `Rejected` outcome, which the submitting thread bumps on the
+/// worker it refused.
+#[derive(Debug, Default)]
+pub(crate) struct WorkerCells {
+    /// Resolutions by outcome, indexed by [`AuditOutcome::index`].
+    outcomes: [Arc<Counter>; AuditOutcome::ALL.len()],
+    pub(crate) steals: Arc<Counter>,
+    pub(crate) slices: Arc<Counter>,
+    pub(crate) preemptions: Arc<Counter>,
+    pub(crate) sessions_retired: Arc<Counter>,
+    /// Jobs parked in the worker's run queue (a gauge).
+    pub(crate) parked_depth: AtomicUsize,
+    /// Whether the worker's thread exited after a panic and no
+    /// replacement has started yet.
+    pub(crate) dead: AtomicBool,
+}
+
+impl WorkerCells {
+    /// The cell counting resolutions with `outcome`.
+    pub(crate) fn outcome(&self, outcome: AuditOutcome) -> &Arc<Counter> {
+        &self.outcomes[outcome.index()]
+    }
+}
+
+/// Every count the pool keeps, each in exactly one cell.
+#[derive(Debug)]
+pub(crate) struct PoolCounters {
+    pub(crate) workers: Vec<WorkerCells>,
+    pub(crate) promotions: Arc<Counter>,
+    pub(crate) respawns: Arc<Counter>,
+    /// Wall-clock cost of each promotion (freeze-append, validation,
+    /// publish), nanoseconds.
+    pub(crate) promotion_ns: Arc<Histogram>,
+}
+
+impl PoolCounters {
+    pub(crate) fn new(workers: usize) -> PoolCounters {
+        PoolCounters {
+            workers: (0..workers).map(|_| WorkerCells::default()).collect(),
+            promotions: Arc::default(),
+            respawns: Arc::default(),
+            promotion_ns: Arc::default(),
+        }
+    }
+}
+
+/// The registry, the job histograms, the polled gauges and the audit
+/// sink. Counter series are the [`PoolCounters`] cells, attached;
+/// nothing here stores a count of its own.
 #[derive(Debug)]
 pub(crate) struct PoolObs {
     registry: Registry,
-    /// One series per [`AuditOutcome`], indexed by
-    /// [`AuditOutcome::index`].
-    jobs: Vec<Arc<Counter>>,
     /// End-to-end latency (submission → resolution), nanoseconds.
-    pub(crate) latency: Arc<Histogram>,
+    latency: Arc<Histogram>,
     /// Time queued before a worker first claimed the job,
     /// nanoseconds.
     pub(crate) queue_wait: Arc<Histogram>,
-    pub(crate) slices: Arc<Counter>,
-    pub(crate) preemptions: Arc<Counter>,
-    pub(crate) steals: Arc<Counter>,
-    pub(crate) promotions: Arc<Counter>,
-    pub(crate) respawns: Arc<Counter>,
-    pub(crate) sessions_retired: Arc<Counter>,
     epoch: Arc<Gauge>,
     workers: Arc<Gauge>,
     base_hit_rate: Arc<Gauge>,
@@ -67,18 +109,67 @@ pub(crate) struct PoolObs {
 }
 
 impl PoolObs {
-    pub(crate) fn new(workers: usize, audit_capacity: usize) -> PoolObs {
+    pub(crate) fn new(counters: &PoolCounters, audit_capacity: usize) -> PoolObs {
         let registry = Registry::new();
-        let jobs = AuditOutcome::ALL
-            .iter()
-            .map(|outcome| {
-                registry.counter(
-                    "bc_jobs_total",
-                    "Jobs resolved, by outcome.",
-                    &[("outcome", outcome.as_str())],
-                )
-            })
-            .collect();
+        let per_worker = |cell: fn(&WorkerCells) -> &Arc<Counter>| -> Vec<Arc<Counter>> {
+            counters
+                .workers
+                .iter()
+                .map(|w| Arc::clone(cell(w)))
+                .collect()
+        };
+        for outcome in AuditOutcome::ALL {
+            registry.attach_counter(
+                "bc_jobs_total",
+                "Jobs resolved, by outcome.",
+                &[("outcome", outcome.as_str())],
+                &counters
+                    .workers
+                    .iter()
+                    .map(|w| Arc::clone(w.outcome(outcome)))
+                    .collect::<Vec<_>>(),
+            );
+        }
+        let sink = AuditSink::new(audit_capacity);
+        for (name, help, cells) in [
+            (
+                "bc_slices_total",
+                "Scheduling turns executed (one job, up to one slice budget of steps).",
+                per_worker(|w| &w.slices),
+            ),
+            (
+                "bc_preemptions_total",
+                "Slices that ended with the job parked rather than finished.",
+                per_worker(|w| &w.preemptions),
+            ),
+            (
+                "bc_steals_total",
+                "Jobs claimed from a sibling worker's queue.",
+                per_worker(|w| &w.steals),
+            ),
+            (
+                "bc_promotions_total",
+                "Overlay-to-base promotions published.",
+                vec![Arc::clone(&counters.promotions)],
+            ),
+            (
+                "bc_respawns_total",
+                "Workers respawned after a caught serve panic.",
+                vec![Arc::clone(&counters.respawns)],
+            ),
+            (
+                "bc_sessions_retired_total",
+                "Worker sessions retired (epoch adoptions + panic recoveries).",
+                per_worker(|w| &w.sessions_retired),
+            ),
+            (
+                "bc_audit_dropped_total",
+                "Audit records evicted from the ring without being drained.",
+                vec![sink.dropped_cell()],
+            ),
+        ] {
+            registry.attach_counter(name, help, &[], &cells);
+        }
         let latency = registry.histogram(
             "bc_job_latency_ns",
             "End-to-end job latency (submission to resolution), nanoseconds.",
@@ -89,42 +180,11 @@ impl PoolObs {
             "Time a job waited in a queue before a worker claimed it, nanoseconds.",
             &[],
         );
-        let slices = registry.counter(
-            "bc_slices_total",
-            "Scheduling turns executed (one job, up to one slice budget of steps).",
+        registry.attach_histogram(
+            "bc_promotion_ns",
+            "Wall-clock cost of each promotion (freeze, validate, publish), nanoseconds.",
             &[],
-        );
-        let preemptions = registry.counter(
-            "bc_preemptions_total",
-            "Slices that ended with the job parked rather than finished.",
-            &[],
-        );
-        let steals = registry.counter(
-            "bc_steals_total",
-            "Jobs claimed from a sibling worker's queue.",
-            &[],
-        );
-        let promotions = registry.counter(
-            "bc_promotions_total",
-            "Overlay-to-base promotions published.",
-            &[],
-        );
-        let respawns = registry.counter(
-            "bc_respawns_total",
-            "Workers respawned after a caught serve panic.",
-            &[],
-        );
-        let sessions_retired = registry.counter(
-            "bc_sessions_retired_total",
-            "Worker sessions retired (epoch adoptions + panic recoveries).",
-            &[],
-        );
-        let sink = AuditSink::new(audit_capacity);
-        registry.attach_counter(
-            "bc_audit_dropped_total",
-            "Audit records evicted from the ring without being drained.",
-            &[],
-            &sink.dropped_cell(),
+            &counters.promotion_ns,
         );
         let epoch = registry.gauge("bc_epoch", "Current base epoch (1 = warmup).", &[]);
         let workers_gauge = registry.gauge("bc_workers", "Worker threads.", &[]);
@@ -141,7 +201,7 @@ impl PoolObs {
             &[],
         );
         let per_worker_gauge = |name: &str, help: &str| -> Vec<Arc<Gauge>> {
-            (0..workers)
+            (0..counters.workers.len())
                 .map(|i| registry.gauge(name, help, &[("worker", &i.to_string())]))
                 .collect()
         };
@@ -155,15 +215,8 @@ impl PoolObs {
         );
         PoolObs {
             registry,
-            jobs,
             latency,
             queue_wait,
-            slices,
-            preemptions,
-            steals,
-            promotions,
-            respawns,
-            sessions_retired,
             epoch,
             workers: workers_gauge,
             base_hit_rate,
@@ -174,12 +227,11 @@ impl PoolObs {
         }
     }
 
-    /// Records one job resolution: its outcome series, the latency
-    /// histogram (every resolved job lands here exactly once — the
-    /// histogram's `_count` equals jobs resolved), and one audit
-    /// record. Wait-free except for the audit ring's push mutex.
+    /// Records one job resolution: the latency histogram (every
+    /// resolved job lands here exactly once, so its `_count` equals
+    /// jobs resolved) and one audit record. Wait-free except for the
+    /// audit ring's push mutex.
     pub(crate) fn resolved(&self, record: AuditRecord) {
-        self.jobs[record.outcome.index()].inc();
         self.latency.record(record.latency_ns);
         self.sink.emit(record);
     }
@@ -189,8 +241,8 @@ impl PoolObs {
         &self.sink
     }
 
-    /// Refreshes the polled gauges from a coherent stats snapshot,
-    /// then renders the full text exposition.
+    /// Refreshes the polled gauges from a stats snapshot, then renders
+    /// the full text exposition.
     pub(crate) fn render(&self, stats: &PoolStats) -> String {
         self.epoch.set(stats.epoch as f64);
         self.workers.set(stats.workers.len() as f64);

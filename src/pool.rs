@@ -179,7 +179,7 @@ use bc_obs::{AuditOutcome, AuditRecord};
 use bc_syntax::TypeId;
 use bc_translate::bisim::Observation;
 
-use crate::obs::{ns, PoolObs, DEFAULT_AUDIT_CAPACITY};
+use crate::obs::{ns, PoolCounters, PoolObs, WorkerCells, DEFAULT_AUDIT_CAPACITY};
 use crate::sched::{Deadline, JobState, ReplySlot, SliceBudget};
 use crate::session::{
     Engine, FrozenBase, PausedRun, RunError, Session, SessionBuilder, SessionStats, SliceOutcome,
@@ -437,6 +437,9 @@ struct Job {
     reply: ReplySlot,
     deadline: Option<Deadline>,
     submitted: Instant,
+    /// How long the job sat queued before a worker claimed it (zero
+    /// until then; kept for the job's audit record).
+    queue_wait: Duration,
 }
 
 impl Job {
@@ -455,18 +458,6 @@ struct ParkedEntry {
     job: Job,
     run: PausedRun,
     compiled: bool,
-    /// How long the job sat queued before this worker admitted it
-    /// (already recorded in the queue-wait histogram; kept for the
-    /// job's eventual audit record).
-    queue_wait: Duration,
-}
-
-/// How a job left its worker (for the slot counters).
-#[derive(Clone, Copy)]
-enum Disposition {
-    Completed,
-    Canceled,
-    DeadlineMissed,
 }
 
 /// When (if ever) a pool promotes a worker overlay into a new base
@@ -609,7 +600,6 @@ struct WorkerQueue {
 /// exactly that, not "nodes the *current* sessions happen to hold".
 #[derive(Debug, Clone, Copy, Default)]
 struct RetiredTotals {
-    sessions: u64,
     local_coercion_nodes: u64,
     local_type_nodes: u64,
     coercion_base_hits: u64,
@@ -621,7 +611,6 @@ struct RetiredTotals {
 
 impl RetiredTotals {
     fn absorb(&mut self, stats: &SessionStats) {
-        self.sessions += 1;
         self.local_coercion_nodes += stats.tier.local_coercion_nodes as u64;
         self.local_type_nodes += stats.tier.local_type_nodes as u64;
         self.coercion_base_hits += stats.coercions.base_hits;
@@ -632,18 +621,12 @@ impl RetiredTotals {
     }
 }
 
-/// One worker's published counters (refreshed after every job).
+/// One worker's session accounting: the current session's stats
+/// (republished after every job) and the folded totals of the
+/// sessions it retired. Event counts live in the worker's
+/// [`WorkerCells`].
 #[derive(Debug, Clone, Copy, Default)]
 struct WorkerSlot {
-    jobs: u64,
-    steals: u64,
-    panics: u64,
-    slices: u64,
-    preemptions: u64,
-    deadline_misses: u64,
-    cancellations: u64,
-    parked_depth: usize,
-    dead: bool,
     stats: Option<SessionStats>,
     retired: RetiredTotals,
 }
@@ -654,8 +637,9 @@ pub struct WorkerStats {
     /// The worker's index (stable for the pool's lifetime, across
     /// respawns).
     pub worker: usize,
-    /// Jobs this worker has completed (including jobs that resolved
-    /// to [`JobError::WorkerPanicked`]).
+    /// Jobs this worker has resolved, whatever the outcome (including
+    /// [`JobError::WorkerPanicked`]; rejected submissions never reach
+    /// a worker and are not counted).
     pub jobs: u64,
     /// Jobs this worker claimed from a sibling's queue.
     pub steals: u64,
@@ -664,7 +648,7 @@ pub struct WorkerStats {
     pub panics: u64,
     /// Scheduling turns executed: each ran one job for up to one
     /// slice budget of steps. Monotone across epoch rebuilds and
-    /// respawns (slot-level, not session-level).
+    /// respawns (worker-level, not session-level).
     pub slices: u64,
     /// Slices that ended with the job parked (preempted) rather than
     /// finished; `slices - preemptions` is the number of jobs whose
@@ -692,13 +676,14 @@ pub struct WorkerStats {
     /// live on in the accessor methods below.
     pub session: Option<SessionStats>,
     retired: RetiredTotals,
+    sessions_retired: u64,
 }
 
 impl WorkerStats {
     /// Sessions this worker has retired (epoch adoptions + panic
     /// recoveries).
     pub fn sessions_retired(&self) -> u64 {
-        self.retired.sessions
+        self.sessions_retired
     }
 
     /// Coercion nodes this worker has interned past its base,
@@ -757,19 +742,25 @@ impl WorkerStats {
 ///
 /// # Consistency contract
 ///
-/// [`SessionPool::stats`] takes one **coherent snapshot per call**:
-/// every worker's slot is locked simultaneously before any counter is
-/// read, and the queue depths are sampled while those locks are still
-/// held — so the rows in [`PoolStats::workers`] describe the pool at
-/// a single instant. In particular, a sum over workers (e.g.
-/// [`PoolStats::jobs`]) can never mix one worker's pre-job state with
-/// another's post-job state for jobs that were counted before the
-/// call began. What the snapshot does *not* include is work in
-/// flight: each worker publishes its counters at job boundaries, so a
-/// job being served right now appears only in the in-flight depth
-/// gauges, not yet in `jobs`. Two snapshots are ordered — every
-/// monotone counter in the later one is ≥ its value in the earlier
-/// one (asserted across promotions and respawns in `tests/obs.rs`).
+/// Every count is read from the same per-worker cells the exposition
+/// ([`SessionPool::metrics_text`]) renders, so the two views cannot
+/// disagree about a quiet pool. [`SessionPool::stats`] makes two
+/// promises:
+///
+/// * **resolved jobs are counted** — a worker counts a job's outcome
+///   (and republishes its session's stats) *before* it replies, so a
+///   job whose handle resolved before the call appears in
+///   [`PoolStats::jobs`] and in its outcome's counter. A job being
+///   served right now appears only in the depth gauges.
+/// * **snapshots are ordered** — every monotone counter in a later
+///   snapshot is ≥ its value in an earlier one (asserted across
+///   promotions and respawns in `tests/obs.rs`).
+///
+/// The cells are read one at a time while workers keep serving, so a
+/// snapshot taken mid-traffic is not one instant: a job resolving
+/// during the call may show in one counter (its last slice) and not
+/// yet in another (its outcome). Once the pool is quiet, every read
+/// is exact.
 #[derive(Debug, Clone)]
 pub struct PoolStats {
     /// The current base epoch (1 = the warmup base; +1 per
@@ -794,7 +785,7 @@ pub struct PoolStats {
 }
 
 impl PoolStats {
-    /// Total jobs completed across all workers.
+    /// Total jobs resolved across all workers.
     pub fn jobs(&self) -> u64 {
         self.workers.iter().map(|w| w.jobs).sum()
     }
@@ -1063,14 +1054,16 @@ impl SessionPoolBuilder {
         self
     }
 
-    /// Disables the observability layer entirely: no metric
-    /// registry, no per-job instrument updates, no audit records.
+    /// Disables the observability layer: no latency or queue-wait
+    /// histograms, no audit records, no rendering.
     /// [`SessionPool::metrics_text`] renders a one-line comment and
-    /// [`SessionPool::audit_records`] returns nothing. Observability
-    /// is **on by default** — its measured cost is ≤ 2% of mixed-batch
-    /// throughput (bench table E29) — so this switch exists for
-    /// overhead comparisons and for embedders running their own
-    /// telemetry.
+    /// [`SessionPool::audit_records`] returns nothing. The pool's
+    /// counters stay on, because they *are* [`PoolStats`]: every
+    /// accessor reads the same as with observability on.
+    /// Observability is **on by default** — its measured cost is ≤ 2%
+    /// of mixed-batch throughput (bench table E29) — so this switch
+    /// exists for overhead comparisons and for embedders running
+    /// their own telemetry.
     pub fn no_observability(mut self) -> SessionPoolBuilder {
         self.observability = false;
         self
@@ -1158,22 +1151,24 @@ impl SessionPoolBuilder {
             "warmup payloads must be carried by the warmup's own freeze"
         );
 
+        let counters = PoolCounters::new(self.workers);
+        let obs = self
+            .observability
+            .then(|| PoolObs::new(&counters, self.audit_capacity));
         let shared = Arc::new(PoolShared {
             epoch: EpochBase::new(base),
             queues: (0..self.workers).map(|_| WorkerQueue::default()).collect(),
             slots: (0..self.workers)
                 .map(|_| Mutex::new(WorkerSlot::default()))
                 .collect(),
+            counters,
             inflight: (0..self.workers)
                 .map(|_| Arc::new(AtomicUsize::new(0)))
                 .collect(),
             handles: Mutex::new((0..self.workers).map(|_| None).collect()),
             open: AtomicBool::new(true),
             promoting: AtomicBool::new(false),
-            promotions: AtomicU64::new(0),
-            promotion_ns: AtomicU64::new(0),
             last_promotion_ns: AtomicU64::new(0),
-            respawns: AtomicU64::new(0),
             jobs_since_promotion: AtomicU64::new(0),
             policy: self.promotion,
             compiled_provenance: compiled
@@ -1187,9 +1182,7 @@ impl SessionPoolBuilder {
             // `resume_slice` then finishes every job in one turn.
             slice_steps: self.slice.map_or(u64::MAX, SliceBudget::steps),
             queue_capacity: self.queue_capacity,
-            obs: self
-                .observability
-                .then(|| PoolObs::new(self.workers, self.audit_capacity)),
+            obs,
         });
         for index in 0..self.workers {
             let handle = shared.spawn_worker(index);
@@ -1205,13 +1198,15 @@ impl SessionPoolBuilder {
 }
 
 /// Everything the workers and the pool handle share: the epoch cell,
-/// the per-worker queues and slots, the promotion machinery, and the
-/// session configuration respawns and rebuilds need.
+/// the per-worker queues, slots and counters, the promotion
+/// machinery, and the session configuration respawns and rebuilds
+/// need.
 #[derive(Debug)]
 struct PoolShared {
     epoch: EpochBase,
     queues: Vec<WorkerQueue>,
     slots: Vec<Mutex<WorkerSlot>>,
+    counters: PoolCounters,
     /// Per-worker in-flight job counts (accepted but unresolved:
     /// queued + parked + running) — the bounded-backpressure gauge.
     /// `Arc`ed so each job's completion cell can decrement its
@@ -1228,13 +1223,11 @@ struct PoolShared {
     /// blocks submit or serving — a worker that loses the race just
     /// keeps serving and adopts the winner's epoch.
     promoting: AtomicBool,
-    promotions: AtomicU64,
-    /// Cumulative / most-recent promotion wall-clock cost (ns);
-    /// snapshot into [`PoolStats::promotion_ns`] /
-    /// [`PoolStats::last_promotion_ns`].
-    promotion_ns: AtomicU64,
+    /// Wall-clock cost of the most recent promotion (ns); the
+    /// cumulative cost is the `promotion_ns` histogram's sum.
     last_promotion_ns: AtomicU64,
-    respawns: AtomicU64,
+    /// Jobs resolved pool-wide since the last promotion: the
+    /// promotion gate's interval, reset by each promotion.
     jobs_since_promotion: AtomicU64,
     policy: Option<PromotionPolicy>,
     /// Provenance of every warmup [`CompiledProgram`], re-validated
@@ -1248,8 +1241,8 @@ struct PoolShared {
     /// Max unresolved jobs per worker before submissions reject.
     queue_capacity: usize,
     /// The observability bundle (`None` when the builder disabled
-    /// it): instruments incremented at the same sites as the slot
-    /// counters, plus the audit ring.
+    /// it): job histograms, the audit ring, and the registry that
+    /// renders them together with `counters`.
     obs: Option<PoolObs>,
 }
 
@@ -1265,32 +1258,74 @@ fn engine_name(engine: Engine) -> &'static str {
     }
 }
 
-/// The skeleton of a job's audit record, filled at a resolution site:
-/// identity, timing, and shape are known here; steps, peaks, and
-/// blame are patched in by the site that has them.
-fn base_record(
+/// The audit outcome a job's result denotes.
+fn outcome_of(result: &Result<JobOutput, JobError>) -> AuditOutcome {
+    match result {
+        Ok(out) if matches!(out.observation, Observation::Blame(_)) => AuditOutcome::Blame,
+        Ok(_) => AuditOutcome::Value,
+        Err(JobError::Compile(_)) => AuditOutcome::CompileError,
+        Err(JobError::Run(RunError::FuelExhausted { .. })) => AuditOutcome::FuelExhausted,
+        Err(JobError::Run(RunError::IllTyped(_))) => AuditOutcome::IllTyped,
+        Err(JobError::WorkerPanicked) => AuditOutcome::WorkerPanicked,
+        Err(JobError::DeadlineExceeded { .. }) => AuditOutcome::DeadlineExceeded,
+        Err(JobError::Canceled) => AuditOutcome::Canceled,
+        Err(JobError::Rejected { .. }) => AuditOutcome::Rejected,
+        Err(JobError::Lost) => unreachable!("only a dropped reply resolves a job to Lost"),
+    }
+}
+
+/// A job's audit record. `steps` is the work done when the result
+/// does not carry its own count (a canceled run discarded mid-way);
+/// fuel exhaustion also carries the cutoff's peak frames, which is
+/// what makes λB/λC space leaks measurable on diverging programs.
+fn audit_record(
     worker: usize,
     epoch: u64,
     job: &Job,
-    queue_wait: Duration,
-    outcome: AuditOutcome,
+    steps: u64,
+    result: &Result<JobOutput, JobError>,
 ) -> AuditRecord {
-    AuditRecord {
+    let mut record = AuditRecord {
         seq: 0, // stamped by the sink
         worker,
         epoch,
         engine: engine_name(job.engine),
-        outcome,
+        outcome: outcome_of(result),
         blame_label: None,
         cast_site: None,
-        steps: 0,
+        steps,
         peak_frames: 0,
         peak_cast_frames: 0,
         compiled: matches!(job.spec, JobSpec::Compiled(_)),
         latency_ns: ns(job.submitted.elapsed()),
-        queue_wait_ns: ns(queue_wait),
+        queue_wait_ns: ns(job.queue_wait),
         shape: bc_obs::shape_key(job.spec.key()),
+    };
+    let metrics = match result {
+        Ok(out) => {
+            record.steps = out.steps;
+            record.compiled = out.compiled;
+            if let Observation::Blame(label) = &out.observation {
+                record.blame_label = Some(label.to_string());
+                record.cast_site = Some(label.id());
+            }
+            out.metrics.as_ref()
+        }
+        Err(JobError::Run(RunError::FuelExhausted { steps, metrics })) => {
+            record.steps = *steps;
+            metrics.as_ref()
+        }
+        Err(JobError::DeadlineExceeded { steps, .. }) => {
+            record.steps = *steps;
+            None
+        }
+        Err(_) => None,
+    };
+    if let Some(m) = metrics {
+        record.peak_frames = m.peak_frames as u64;
+        record.peak_cast_frames = m.peak_cast_frames as u64;
     }
+    record
 }
 
 /// How long an idle worker parks before re-scanning sibling queues —
@@ -1313,7 +1348,7 @@ impl PoolShared {
         let shared = Arc::clone(self);
         std::thread::Builder::new()
             .name(format!("bc-pool-worker-{index}"))
-            .spawn(move || worker_loop(index, shared))
+            .spawn(move || Worker::new(index, shared).run())
             .expect("spawn pool worker")
     }
 
@@ -1367,10 +1402,7 @@ impl PoolShared {
         let (victim, _) = victim?;
         let job = lock(&self.queues[victim].deque).pop_back();
         if job.is_some() {
-            lock(&self.slots[thief]).steals += 1;
-            if let Some(obs) = &self.obs {
-                obs.steals.inc();
-            }
+            self.counters.workers[thief].steals.inc();
         }
         job
     }
@@ -1386,21 +1418,33 @@ impl PoolShared {
         self.steal(index)
     }
 
-    /// Publishes a finished job into the worker's slot — *before* the
-    /// reply, so a caller that observes a job as complete via its
-    /// handle finds it counted in [`SessionPool::stats`] too. Every
-    /// disposition counts as a job; misses and cancellations bump
-    /// their own monotone counters on top.
-    fn count_job(&self, index: usize, session: &Session, disposition: Disposition) {
-        self.jobs_since_promotion.fetch_add(1, Ordering::Relaxed);
-        let mut slot = lock(&self.slots[index]);
-        slot.jobs += 1;
-        match disposition {
-            Disposition::Completed => {}
-            Disposition::Canceled => slot.cancellations += 1,
-            Disposition::DeadlineMissed => slot.deadline_misses += 1,
+    /// The one place a job resolves (on a worker, or at the door when
+    /// backpressure refuses it): counts the outcome in `worker`'s
+    /// cell, republishes the serving session's stats, records latency
+    /// and the audit record, and only then replies — so a caller that
+    /// sees the job resolve through its handle finds it counted in
+    /// [`SessionPool::stats`] too. `steps` is the work done when the
+    /// result does not carry its own count.
+    fn resolve(
+        &self,
+        worker: usize,
+        epoch: u64,
+        session: Option<&Session>,
+        job: Job,
+        steps: u64,
+        result: Result<JobOutput, JobError>,
+    ) {
+        self.counters.workers[worker]
+            .outcome(outcome_of(&result))
+            .inc();
+        if let Some(session) = session {
+            self.jobs_since_promotion.fetch_add(1, Ordering::Relaxed);
+            lock(&self.slots[worker]).stats = Some(session.stats());
         }
-        slot.stats = Some(session.stats());
+        if let Some(obs) = &self.obs {
+            obs.resolved(audit_record(worker, epoch, &job, steps, &result));
+        }
+        job.reply.resolve(result);
     }
 
     /// Folds the session's counters into the worker's retired totals
@@ -1411,9 +1455,7 @@ impl PoolShared {
         slot.retired.absorb(&stats);
         slot.stats = None;
         drop(slot);
-        if let Some(obs) = &self.obs {
-            obs.sessions_retired.inc();
-        }
+        self.counters.workers[index].sessions_retired.inc();
     }
 
     /// The cheap per-job promotion gate: policy thresholds on this
@@ -1491,14 +1533,11 @@ impl PoolShared {
                 return None;
             }
             let epoch = self.epoch.publish(Arc::clone(&next));
-            let elapsed = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.promotion_ns.fetch_add(elapsed, Ordering::Relaxed);
+            let elapsed = ns(started.elapsed());
+            self.counters.promotion_ns.record(elapsed);
             self.last_promotion_ns.store(elapsed, Ordering::Relaxed);
-            self.promotions.fetch_add(1, Ordering::Relaxed);
+            self.counters.promotions.inc();
             self.jobs_since_promotion.store(0, Ordering::Relaxed);
-            if let Some(obs) = &self.obs {
-                obs.promotions.inc();
-            }
             Some((epoch, next))
         })();
         self.promoting.store(false, Ordering::Release);
@@ -1513,10 +1552,7 @@ impl PoolShared {
             return;
         }
         let handle = self.spawn_worker(index);
-        self.respawns.fetch_add(1, Ordering::Relaxed);
-        if let Some(obs) = &self.obs {
-            obs.respawns.inc();
-        }
+        self.counters.respawns.inc();
         // Overwrites the dying worker's own handle: it is past
         // everything observable and exits right after this call, so
         // nothing is lost by detaching it.
@@ -1524,351 +1560,213 @@ impl PoolShared {
     }
 }
 
-/// Overwrites an audit record's default (`CompileError`) outcome with
-/// the one a [`JobError`] actually denotes, plus whatever accounting
-/// the error carries.
-fn patch_error(record: &mut AuditRecord, err: &JobError) {
-    match err {
-        JobError::Compile(_) => record.outcome = AuditOutcome::CompileError,
-        JobError::Run(e) => patch_run_error(record, e),
-        // The remaining variants never reach a worker's resolution
-        // sites (they resolve on the submitter's side or in `die`).
-        _ => {}
-    }
-}
-
-/// Fills an audit record from a run error: fuel exhaustion carries
-/// real step and peak-frame accounting (the cutoff metrics are what
-/// make λB/λC space leaks measurable on diverging programs).
-fn patch_run_error(record: &mut AuditRecord, err: &RunError) {
-    match err {
-        RunError::FuelExhausted { steps, metrics } => {
-            record.outcome = AuditOutcome::FuelExhausted;
-            record.steps = *steps;
-            if let Some(m) = metrics {
-                record.peak_frames = m.peak_frames as u64;
-                record.peak_cast_frames = m.peak_cast_frames as u64;
-            }
-        }
-        RunError::IllTyped(_) => record.outcome = AuditOutcome::IllTyped,
-    }
-}
-
-/// One worker: a private overlay [`Session`] over the current epoch's
-/// base, a run queue of parked jobs, and a scheduling loop that
-/// interleaves intake with round-robin timeslicing until the pool
-/// closes, every queue drains, and every parked job finishes.
+/// One worker thread: a private overlay [`Session`] over the epoch it
+/// last adopted, the program cache bound to that session, and a run
+/// queue of parked jobs.
 ///
-/// Each loop turn does at most one intake claim (blocking only when
-/// nothing is parked — an idle worker parks on its condvar exactly
-/// like the pre-slicing loop) and one slice of the run queue's head.
-/// A 64-job batch with divergent spinners therefore finishes its
-/// convergent jobs in a bounded number of turns: a spinner gets one
-/// slice per rotation, never the whole worker.
-fn worker_loop(index: usize, shared: Arc<PoolShared>) {
-    lock(&shared.slots[index]).dead = false;
-    let (mut epoch, mut base) = shared.epoch.load();
-    let mut session = shared.build_session(Arc::clone(&base));
-    // The worker-local program cache: one lowered Program per distinct
-    // job key. Programs hold session-bound ids, so the cache lives and
-    // dies with the current session; it is what makes a repeated job
-    // (compiled or source) a pure lookup — zero parsing, zero
-    // lowering.
-    let mut programs: HashMap<String, crate::session::Program> = HashMap::new();
-    let mut run_queue: VecDeque<ParkedEntry> = VecDeque::new();
-    loop {
-        let incoming = if run_queue.is_empty() {
-            match shared.next_job(index) {
-                Some(job) => Some(job),
-                // Closed, every queue drained, nothing parked: done.
-                None => return,
-            }
-        } else {
-            shared.try_claim(index)
-        };
-        if let Some(job) = incoming {
-            // The job is claimed: everything before this instant was
-            // queueing (dispatch, standing in a deque, being stolen).
-            let queue_wait = job.submitted.elapsed();
-            if let Some(obs) = &shared.obs {
-                obs.queue_wait.record(ns(queue_wait));
-            }
-            // Epoch adoption happens only with an empty run queue:
-            // parked runs hold ids interned in the current session,
-            // which an adoption would rebuild. A parked spinner thus
-            // delays its worker's adoption until it finishes or
-            // exhausts its fuel — bounded by the fuel bound, never
-            // forever. The old base's Arc drops with the retired
-            // session — epochs drain, they are never collected.
-            if run_queue.is_empty() {
-                if let Some((e, b)) = shared.epoch.refresh(epoch) {
-                    shared.retire(index, &session);
-                    (epoch, base) = (e, b);
-                    session = shared.build_session(Arc::clone(&base));
-                    programs.clear();
-                }
-            }
-            if job.reply.is_canceled() {
-                // Canceled while queued: the handle resolved when the
-                // submitter canceled; drop the worker's side here.
-                shared.count_job(index, &session, Disposition::Canceled);
-                if let Some(obs) = &shared.obs {
-                    obs.resolved(base_record(
-                        index,
-                        epoch,
-                        &job,
-                        queue_wait,
-                        AuditOutcome::Canceled,
-                    ));
-                }
-            } else if job.expired() {
-                shared.count_job(index, &session, Disposition::DeadlineMissed);
-                if let Some(obs) = &shared.obs {
-                    obs.resolved(base_record(
-                        index,
-                        epoch,
-                        &job,
-                        queue_wait,
-                        AuditOutcome::DeadlineExceeded,
-                    ));
-                }
-                job.reply.resolve(Err(JobError::DeadlineExceeded {
-                    steps: 0,
-                    elapsed: job.submitted.elapsed(),
-                }));
-            } else {
-                // Admission is the first unwind boundary: it runs
-                // job-determined work (parsing, elaboration,
-                // lowering). AssertUnwindSafe is sound because
-                // everything the closure touches is discarded on
-                // panic (session, program cache, and parked runs die
-                // with this worker; the replacement starts fresh over
-                // the current epoch).
-                let admitted = catch_unwind(AssertUnwindSafe(|| {
-                    admit(&session, &mut programs, &base, &job)
-                }));
-                match admitted {
-                    Ok(Ok((run, compiled))) => run_queue.push_back(ParkedEntry {
-                        job,
-                        run,
-                        compiled,
-                        queue_wait,
-                    }),
-                    Ok(Err(err)) => {
-                        shared.count_job(index, &session, Disposition::Completed);
-                        if let Some(obs) = &shared.obs {
-                            let mut record = base_record(
-                                index,
-                                epoch,
-                                &job,
-                                queue_wait,
-                                AuditOutcome::CompileError,
-                            );
-                            patch_error(&mut record, &err);
-                            obs.resolved(record);
-                        }
-                        job.reply.resolve(Err(err));
-                        if run_queue.is_empty() {
-                            adopt_if_promoted(
-                                &shared,
-                                index,
-                                &mut epoch,
-                                &mut base,
-                                &mut session,
-                                &mut programs,
-                            );
-                        }
-                    }
-                    Err(_) => {
-                        die(&shared, index, &session, job, queue_wait, run_queue);
-                        return;
-                    }
-                }
-            }
-        }
-        // One scheduling turn: slice the head of the run queue; a job
-        // parked again goes to the back (round-robin — every parked
-        // job advances one slice per rotation).
-        if let Some(entry) = run_queue.pop_front() {
-            let ParkedEntry {
-                job,
-                run,
-                compiled,
-                queue_wait,
-            } = entry;
-            if job.reply.is_canceled() {
-                shared.count_job(index, &session, Disposition::Canceled);
-                if let Some(obs) = &shared.obs {
-                    let mut record =
-                        base_record(index, epoch, &job, queue_wait, AuditOutcome::Canceled);
-                    record.steps = run.steps();
-                    obs.resolved(record);
-                }
-            } else if job.expired() {
-                let steps = run.steps();
-                shared.count_job(index, &session, Disposition::DeadlineMissed);
-                if let Some(obs) = &shared.obs {
-                    let mut record = base_record(
-                        index,
-                        epoch,
-                        &job,
-                        queue_wait,
-                        AuditOutcome::DeadlineExceeded,
-                    );
-                    record.steps = steps;
-                    obs.resolved(record);
-                }
-                job.reply.resolve(Err(JobError::DeadlineExceeded {
-                    steps,
-                    elapsed: job.submitted.elapsed(),
-                }));
-            } else {
-                // The slice is the other unwind boundary (machine
-                // steps run job-determined work too).
-                let sliced = catch_unwind(AssertUnwindSafe(|| {
-                    session.resume_slice(run, shared.slice_steps)
-                }));
-                match sliced {
-                    Ok(SliceOutcome::Done(result)) => {
-                        lock(&shared.slots[index]).slices += 1;
-                        shared.count_job(index, &session, Disposition::Completed);
-                        let elapsed = job.submitted.elapsed();
-                        if let Some(obs) = &shared.obs {
-                            obs.slices.inc();
-                            let mut record =
-                                base_record(index, epoch, &job, queue_wait, AuditOutcome::Value);
-                            record.compiled = compiled;
-                            match &result {
-                                Ok(report) => {
-                                    record.steps = report.steps;
-                                    if let Some(m) = &report.metrics {
-                                        record.peak_frames = m.peak_frames as u64;
-                                        record.peak_cast_frames = m.peak_cast_frames as u64;
-                                    }
-                                    if let Observation::Blame(label) = &report.observation {
-                                        record.outcome = AuditOutcome::Blame;
-                                        record.blame_label = Some(label.to_string());
-                                        record.cast_site = Some(label.id());
-                                    }
-                                }
-                                Err(err) => patch_run_error(&mut record, err),
-                            }
-                            obs.resolved(record);
-                        }
-                        let result = result
-                            .map(|report| JobOutput {
-                                observation: report.observation,
-                                steps: report.steps,
-                                metrics: report.metrics,
-                                worker: index,
-                                compiled,
-                                elapsed,
-                            })
-                            .map_err(JobError::Run);
-                        job.reply.resolve(result);
-                        if run_queue.is_empty() {
-                            adopt_if_promoted(
-                                &shared,
-                                index,
-                                &mut epoch,
-                                &mut base,
-                                &mut session,
-                                &mut programs,
-                            );
-                        }
-                    }
-                    Ok(SliceOutcome::Parked(run)) => {
-                        {
-                            let mut slot = lock(&shared.slots[index]);
-                            slot.slices += 1;
-                            slot.preemptions += 1;
-                        }
-                        if let Some(obs) = &shared.obs {
-                            obs.slices.inc();
-                            obs.preemptions.inc();
-                        }
-                        run_queue.push_back(ParkedEntry {
-                            job,
-                            run,
-                            compiled,
-                            queue_wait,
-                        });
-                    }
-                    Err(_) => {
-                        die(&shared, index, &session, job, queue_wait, run_queue);
-                        return;
-                    }
-                }
-            }
-        }
-        lock(&shared.slots[index]).parked_depth = run_queue.len();
-    }
-}
-
-/// The caught-panic exit path: types the panicking job, retires the
-/// session, hands the surviving parked jobs back to the queue (their
-/// runs died with the session — the replacement restarts them from
-/// step zero by spec, at-least-once for a language with no side
-/// effects to repeat), and respawns.
-fn die(
-    shared: &Arc<PoolShared>,
+/// Its loop interleaves intake with round-robin timeslicing until the
+/// pool closes, every queue drains, and every parked job finishes.
+/// Each turn does at most one intake claim (blocking only when
+/// nothing is parked — an idle worker parks on its condvar) and one
+/// slice of the run queue's head. A 64-job batch with divergent
+/// spinners therefore finishes its convergent jobs in a bounded
+/// number of turns: a spinner gets one slice per rotation, never the
+/// whole worker.
+struct Worker {
     index: usize,
-    session: &Session,
-    job: Job,
-    queue_wait: Duration,
+    shared: Arc<PoolShared>,
+    epoch: u64,
+    base: Arc<FrozenBase>,
+    session: Session,
+    /// One lowered Program per distinct job key. Programs hold
+    /// session-bound ids, so the cache lives and dies with the
+    /// current session; it is what makes a repeated job (compiled or
+    /// source) a pure lookup — zero parsing, zero lowering.
+    programs: HashMap<String, crate::session::Program>,
     run_queue: VecDeque<ParkedEntry>,
-) {
-    shared.retire(index, session);
-    {
-        let mut slot = lock(&shared.slots[index]);
-        slot.jobs += 1;
-        slot.panics += 1;
-        slot.dead = true;
-        slot.parked_depth = 0;
-    }
-    if let Some(obs) = &shared.obs {
-        obs.resolved(base_record(
-            index,
-            shared.epoch.epoch(),
-            &job,
-            queue_wait,
-            AuditOutcome::WorkerPanicked,
-        ));
-    }
-    job.reply.resolve(Err(JobError::WorkerPanicked));
-    if !run_queue.is_empty() {
-        let queue = &shared.queues[index];
-        {
-            let mut deque = lock(&queue.deque);
-            for entry in run_queue {
-                deque.push_back(entry.job);
-            }
-        }
-        queue.ready.notify_one();
-    }
-    shared.respawn(index);
 }
 
-/// The promotion gate + adoption, shared by every completion site.
-/// Callers only reach here with an empty run queue (adoption rebuilds
-/// the session that parked runs reference).
-fn adopt_if_promoted(
-    shared: &PoolShared,
-    index: usize,
-    epoch: &mut u64,
-    base: &mut Arc<FrozenBase>,
-    session: &mut Session,
-    programs: &mut HashMap<String, crate::session::Program>,
-) {
-    if shared.should_promote(index, session) {
-        if let Some((e, b)) = shared.promote(*epoch, base, session) {
+impl Worker {
+    fn new(index: usize, shared: Arc<PoolShared>) -> Worker {
+        let (epoch, base) = shared.epoch.load();
+        let session = shared.build_session(Arc::clone(&base));
+        Worker {
+            index,
+            shared,
+            epoch,
+            base,
+            session,
+            programs: HashMap::new(),
+            run_queue: VecDeque::new(),
+        }
+    }
+
+    fn cells(&self) -> &WorkerCells {
+        &self.shared.counters.workers[self.index]
+    }
+
+    fn run(mut self) {
+        self.cells().dead.store(false, Ordering::Release);
+        loop {
+            let incoming = if self.run_queue.is_empty() {
+                match self.shared.next_job(self.index) {
+                    Some(job) => Some(job),
+                    // Closed, every queue drained, nothing parked: done.
+                    None => return,
+                }
+            } else {
+                self.shared.try_claim(self.index)
+            };
+            if let Some(mut job) = incoming {
+                // The job is claimed: everything before this instant
+                // was queueing (dispatch, standing in a deque, being
+                // stolen).
+                job.queue_wait = job.submitted.elapsed();
+                if let Some(obs) = &self.shared.obs {
+                    obs.queue_wait.record(ns(job.queue_wait));
+                }
+                // Epoch adoption happens only with an empty run queue:
+                // parked runs hold ids interned in the current
+                // session, which an adoption would rebuild. A parked
+                // spinner thus delays its worker's adoption until it
+                // finishes or exhausts its fuel — bounded by the fuel
+                // bound, never forever.
+                if self.run_queue.is_empty() {
+                    if let Some((epoch, base)) = self.shared.epoch.refresh(self.epoch) {
+                        self.adopt(epoch, base);
+                    }
+                }
+                if job.reply.is_canceled() {
+                    // The handle resolved when the submitter canceled;
+                    // this drops the worker's side.
+                    self.resolve(job, 0, Err(JobError::Canceled));
+                } else if job.expired() {
+                    let elapsed = job.submitted.elapsed();
+                    let missed = JobError::DeadlineExceeded { steps: 0, elapsed };
+                    self.resolve(job, 0, Err(missed));
+                } else {
+                    // Admission is the first unwind boundary: it runs
+                    // job-determined work (parsing, elaboration,
+                    // lowering). AssertUnwindSafe is sound because
+                    // everything the closure touches is discarded on
+                    // panic (session, program cache, and parked runs
+                    // die with this worker; the replacement starts
+                    // fresh over the current epoch).
+                    let admitted = catch_unwind(AssertUnwindSafe(|| {
+                        admit(&self.session, &mut self.programs, &self.base, &job)
+                    }));
+                    match admitted {
+                        Ok(Ok((run, compiled))) => {
+                            self.run_queue.push_back(ParkedEntry { job, run, compiled })
+                        }
+                        Ok(Err(err)) => {
+                            self.resolve(job, 0, Err(err));
+                            self.adopt_if_promoted();
+                        }
+                        Err(_) => return self.die(job),
+                    }
+                }
+            }
+            // One scheduling turn: slice the head of the run queue; a
+            // job parked again goes to the back (round-robin — every
+            // parked job advances one slice per rotation).
+            if let Some(ParkedEntry { job, run, compiled }) = self.run_queue.pop_front() {
+                if job.reply.is_canceled() {
+                    self.resolve(job, run.steps(), Err(JobError::Canceled));
+                } else if job.expired() {
+                    let steps = run.steps();
+                    let elapsed = job.submitted.elapsed();
+                    self.resolve(job, 0, Err(JobError::DeadlineExceeded { steps, elapsed }));
+                } else {
+                    // The slice is the other unwind boundary (machine
+                    // steps run job-determined work too).
+                    let sliced = catch_unwind(AssertUnwindSafe(|| {
+                        self.session.resume_slice(run, self.shared.slice_steps)
+                    }));
+                    match sliced {
+                        Ok(SliceOutcome::Done(result)) => {
+                            self.cells().slices.inc();
+                            let elapsed = job.submitted.elapsed();
+                            let result = result
+                                .map(|report| JobOutput {
+                                    observation: report.observation,
+                                    steps: report.steps,
+                                    metrics: report.metrics,
+                                    worker: self.index,
+                                    compiled,
+                                    elapsed,
+                                })
+                                .map_err(JobError::Run);
+                            self.resolve(job, 0, result);
+                            self.adopt_if_promoted();
+                        }
+                        Ok(SliceOutcome::Parked(run)) => {
+                            self.cells().slices.inc();
+                            self.cells().preemptions.inc();
+                            self.run_queue.push_back(ParkedEntry { job, run, compiled });
+                        }
+                        Err(_) => return self.die(job),
+                    }
+                }
+            }
+            self.cells()
+                .parked_depth
+                .store(self.run_queue.len(), Ordering::Release);
+        }
+    }
+
+    /// Resolves a job this worker served (see [`PoolShared::resolve`]).
+    fn resolve(&self, job: Job, steps: u64, result: Result<JobOutput, JobError>) {
+        self.shared.resolve(
+            self.index,
+            self.epoch,
+            Some(&self.session),
+            job,
+            steps,
+            result,
+        );
+    }
+
+    /// Retires the current session and rebuilds over `base`. The old
+    /// base's `Arc` drops with the retired session — epochs drain,
+    /// they are never collected.
+    fn adopt(&mut self, epoch: u64, base: Arc<FrozenBase>) {
+        self.shared.retire(self.index, &self.session);
+        self.session = self.shared.build_session(Arc::clone(&base));
+        (self.epoch, self.base) = (epoch, base);
+        self.programs.clear();
+    }
+
+    /// The promotion gate, run after each resolution. Only with an
+    /// empty run queue: adoption rebuilds the session that parked runs
+    /// reference.
+    fn adopt_if_promoted(&mut self) {
+        if !self.run_queue.is_empty() || !self.shared.should_promote(self.index, &self.session) {
+            return;
+        }
+        if let Some((epoch, base)) = self.shared.promote(self.epoch, &self.base, &self.session) {
             // The promoting worker adopts its own epoch at once — its
             // overlay *is* the new base.
-            shared.retire(index, session);
-            (*epoch, *base) = (e, b);
-            *session = shared.build_session(Arc::clone(base));
-            programs.clear();
+            self.adopt(epoch, base);
         }
+    }
+
+    /// The caught-panic exit path: types the panicking job, retires
+    /// the session, hands the surviving parked jobs back to the queue
+    /// (their runs died with the session — the replacement restarts
+    /// them from step zero by spec, at-least-once for a language with
+    /// no side effects to repeat), and respawns.
+    fn die(self, job: Job) {
+        self.cells().dead.store(true, Ordering::Release);
+        self.cells().parked_depth.store(0, Ordering::Release);
+        self.resolve(job, 0, Err(JobError::WorkerPanicked));
+        self.shared.retire(self.index, &self.session);
+        if !self.run_queue.is_empty() {
+            let queue = &self.shared.queues[self.index];
+            lock(&queue.deque).extend(self.run_queue.into_iter().map(|entry| entry.job));
+            queue.ready.notify_one();
+        }
+        self.shared.respawn(self.index);
     }
 }
 
@@ -2133,33 +2031,7 @@ impl SessionPool {
         let reserved = inflight.fetch_update(Ordering::AcqRel, Ordering::Acquire, |depth| {
             (depth < capacity).then_some(depth + 1)
         });
-        if let Err(depth) = reserved {
-            if let Some(obs) = &self.shared.obs {
-                // Rejected jobs never became a `Job`; audit them here
-                // (zero steps, zero waits — they were refused at the
-                // door), so `bc_jobs_total` sums to submissions.
-                obs.resolved(AuditRecord {
-                    seq: 0,
-                    worker: target,
-                    epoch: self.shared.epoch.epoch(),
-                    engine: engine_name(engine),
-                    outcome: AuditOutcome::Rejected,
-                    blame_label: None,
-                    cast_site: None,
-                    steps: 0,
-                    peak_frames: 0,
-                    peak_cast_frames: 0,
-                    compiled: matches!(spec, JobSpec::Compiled(_)),
-                    latency_ns: 0,
-                    queue_wait_ns: 0,
-                    shape: bc_obs::shape_key(spec.key()),
-                });
-            }
-            return JobHandle {
-                state: JobState::resolved(Err(JobError::Rejected { queue_depth: depth })),
-            };
-        }
-        let state = JobState::new(Some(Arc::clone(inflight)));
+        let state = JobState::new(reserved.is_ok().then(|| Arc::clone(inflight)));
         let job = Job {
             spec,
             engine,
@@ -2167,57 +2039,69 @@ impl SessionPool {
             reply: ReplySlot::new(Arc::clone(&state)),
             deadline,
             submitted: Instant::now(),
+            queue_wait: Duration::ZERO,
         };
+        if let Err(queue_depth) = reserved {
+            // Refused at the door: counted and audited on the target
+            // worker like any resolution, so `bc_jobs_total` sums to
+            // submissions.
+            let epoch = self.shared.epoch.epoch();
+            let refused = Err(JobError::Rejected { queue_depth });
+            self.shared.resolve(target, epoch, None, job, 0, refused);
+            return JobHandle { state };
+        }
         let queue = &self.shared.queues[target];
         lock(&queue.deque).push_back(job);
         queue.ready.notify_one();
         JobHandle { state }
     }
 
-    /// A coherent snapshot of the pool accounting — see the
-    /// [consistency contract](PoolStats#consistency-contract) on
-    /// [`PoolStats`]. Each worker republishes its counters after
-    /// every job, so in-flight jobs are not yet counted.
-    ///
-    /// The snapshot holds every worker slot's lock at once for the
-    /// read (deadlock-free: no worker-side path acquires a second
-    /// pool lock while holding a slot or deque lock), so calling this
-    /// stalls each worker's *accounting* publish for the duration of
-    /// one copy per worker, never its serving.
+    /// A snapshot of the pool accounting: a typed read of the same
+    /// counter cells [`SessionPool::metrics_text`] renders. A job
+    /// whose handle resolved before the call is counted, and a later
+    /// snapshot dominates an earlier one — see the
+    /// [consistency contract](PoolStats#consistency-contract). Jobs in
+    /// flight are not yet counted. Reading takes each worker's slot
+    /// and queue lock briefly, one worker at a time, and never stalls
+    /// serving.
     pub fn stats(&self) -> PoolStats {
-        let slots: Vec<MutexGuard<'_, WorkerSlot>> = self.shared.slots.iter().map(lock).collect();
-        let queue_depths: Vec<usize> = self
-            .shared
-            .queues
+        let counters = &self.shared.counters;
+        let workers = counters
+            .workers
             .iter()
-            .map(|q| lock(&q.deque).len())
+            .enumerate()
+            .map(|(worker, cells)| {
+                let outcome = |o: AuditOutcome| cells.outcome(o).get();
+                let slot = *lock(&self.shared.slots[worker]);
+                WorkerStats {
+                    worker,
+                    jobs: AuditOutcome::ALL
+                        .into_iter()
+                        .filter(|&o| o != AuditOutcome::Rejected)
+                        .map(outcome)
+                        .sum(),
+                    steals: cells.steals.get(),
+                    panics: outcome(AuditOutcome::WorkerPanicked),
+                    slices: cells.slices.get(),
+                    preemptions: cells.preemptions.get(),
+                    deadline_misses: outcome(AuditOutcome::DeadlineExceeded),
+                    cancellations: outcome(AuditOutcome::Canceled),
+                    parked_depth: cells.parked_depth.load(Ordering::Acquire),
+                    dead: cells.dead.load(Ordering::Acquire),
+                    queue_depth: lock(&self.shared.queues[worker].deque).len(),
+                    session: slot.stats,
+                    retired: slot.retired,
+                    sessions_retired: cells.sessions_retired.get(),
+                }
+            })
             .collect();
         PoolStats {
             epoch: self.shared.epoch.epoch(),
-            promotions: self.shared.promotions.load(Ordering::Relaxed),
-            promotion_ns: self.shared.promotion_ns.load(Ordering::Relaxed),
+            promotions: counters.promotions.get(),
+            promotion_ns: counters.promotion_ns.snapshot().sum(),
             last_promotion_ns: self.shared.last_promotion_ns.load(Ordering::Relaxed),
-            respawns: self.shared.respawns.load(Ordering::Relaxed),
-            workers: slots
-                .iter()
-                .zip(queue_depths)
-                .enumerate()
-                .map(|(worker, (slot, queue_depth))| WorkerStats {
-                    worker,
-                    jobs: slot.jobs,
-                    steals: slot.steals,
-                    panics: slot.panics,
-                    slices: slot.slices,
-                    preemptions: slot.preemptions,
-                    deadline_misses: slot.deadline_misses,
-                    cancellations: slot.cancellations,
-                    parked_depth: slot.parked_depth,
-                    dead: slot.dead,
-                    queue_depth,
-                    session: slot.stats,
-                    retired: slot.retired,
-                })
-                .collect(),
+            respawns: counters.respawns.get(),
+            workers,
         }
     }
 

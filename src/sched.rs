@@ -171,8 +171,8 @@ impl JobState {
         })
     }
 
-    /// A cell born resolved — how rejected submissions hand back a
-    /// typed error without ever entering a queue.
+    /// A cell born resolved — how a closed pool answers a submission
+    /// without ever touching a queue.
     pub(crate) fn resolved(result: Result<JobOutput, JobError>) -> Arc<JobState> {
         let state = JobState::new(None);
         state.resolve(result);

@@ -261,7 +261,7 @@ fn counters_stay_monotone_across_promotions_and_respawns() {
         }
 
         let stats = pool.stats();
-        // Slot-level accounting: monotone even though sessions were
+        // Worker-level accounting: monotone even though sessions were
         // retired (promotion adoptions + the poison respawn) between
         // the snapshots.
         assert!(stats.jobs() > prev_stats.jobs() + WAVE_JOBS as u64);
@@ -532,6 +532,8 @@ fn exposition_and_stats_agree_after_quiescing() {
         ("bc_jobs_total{outcome=\"blame\"}", blamed),
         ("bc_jobs_total{outcome=\"fuel_exhausted\"}", exhausted),
         ("bc_jobs_total{outcome=\"rejected\"}", rejected),
+        ("bc_promotion_ns_count", stats.promotions),
+        ("bc_promotion_ns_sum", stats.promotion_ns),
     ] {
         assert_eq!(value(&text, series), expected as f64, "{series}\n{text}");
     }

@@ -364,7 +364,7 @@ fn scheduler_counters(stats: &PoolStats) -> (u64, u64, u64, u64, u64) {
     )
 }
 
-/// The scheduler counters are slot-level, so they survive epoch
+/// The scheduler counters are worker-level, so they survive epoch
 /// rebuilds exactly like the PR-7 cumulative tier counters: a
 /// drifting workload that forces promotions (session retirements on
 /// every worker) must never see `slices`, `preemptions`,
