@@ -622,12 +622,13 @@ impl RetiredTotals {
 }
 
 /// One worker's session accounting: the current session's stats
-/// (republished after every job) and the folded totals of the
-/// sessions it retired. Event counts live in the worker's
-/// [`WorkerCells`].
+/// (republished after every job) with the epoch that session was
+/// built over, and the folded totals of the sessions it retired.
+/// Event counts live in the worker's [`WorkerCells`].
 #[derive(Debug, Clone, Copy, Default)]
 struct WorkerSlot {
     stats: Option<SessionStats>,
+    epoch: u64,
     retired: RetiredTotals,
 }
 
@@ -1439,7 +1440,8 @@ impl PoolShared {
             .inc();
         if let Some(session) = session {
             self.jobs_since_promotion.fetch_add(1, Ordering::Relaxed);
-            lock(&self.slots[worker]).stats = Some(session.stats());
+            let mut slot = lock(&self.slots[worker]);
+            (slot.stats, slot.epoch) = (Some(session.stats()), epoch);
         }
         if let Some(obs) = &self.obs {
             obs.resolved(audit_record(worker, epoch, &job, steps, &result));
@@ -1461,7 +1463,7 @@ impl PoolShared {
     /// The cheap per-job promotion gate: policy thresholds on this
     /// worker's own session, then the fattest-overlay check against
     /// the other workers' published slots.
-    fn should_promote(&self, index: usize, session: &Session) -> bool {
+    fn should_promote(&self, index: usize, epoch: u64, session: &Session) -> bool {
         let Some(policy) = &self.policy else {
             return false;
         };
@@ -1479,13 +1481,17 @@ impl PoolShared {
             return false;
         }
         // Freeze the fattest overlay: if some other worker's published
-        // overlay is fatter, leave promotion to it (its next job
-        // boundary will get here). Published slots lag by at most one
-        // job per worker, so a fatter-looking-but-stale slot delays
-        // promotion by a bounded number of jobs, never blocks it.
+        // overlay over the same epoch is fatter, leave promotion to it
+        // (its next job boundary will get here). An overlay over an
+        // older epoch can never be promoted — its worker discards it
+        // at its next claim — and a worker whose jobs are all stolen
+        // never republishes, so such a slot must not hold promotion
+        // back.
         self.slots.iter().enumerate().all(|(i, s)| {
+            let slot = lock(s);
             i == index
-                || lock(s).stats.is_none_or(|other| {
+                || slot.epoch != epoch
+                || slot.stats.is_none_or(|other| {
                     other.tier.local_coercion_nodes + other.tier.local_type_nodes <= local
                 })
         })
@@ -1741,7 +1747,11 @@ impl Worker {
     /// empty run queue: adoption rebuilds the session that parked runs
     /// reference.
     fn adopt_if_promoted(&mut self) {
-        if !self.run_queue.is_empty() || !self.shared.should_promote(self.index, &self.session) {
+        if !self.run_queue.is_empty()
+            || !self
+                .shared
+                .should_promote(self.index, self.epoch, &self.session)
+        {
             return;
         }
         if let Some((epoch, base)) = self.shared.promote(self.epoch, &self.base, &self.session) {
