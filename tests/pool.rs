@@ -466,12 +466,6 @@ fn promotion_recovers_the_base_hit_rate_and_cuts_overlay_interning() {
         .promotion(eager_promotion())
         .build()
         .expect("builds");
-    let frozen = SessionPool::builder()
-        .workers(4)
-        .default_fuel(FUEL)
-        .no_promotion()
-        .build()
-        .expect("builds");
 
     // (cumulative base hits, cumulative probes, cumulative overlay
     // nodes) captured at every half-phase mark:
@@ -492,12 +486,29 @@ fn promotion_recovers_the_base_hit_rate_and_cuts_overlay_interning() {
             ));
         }
     }
-    for source in &batch {
-        let _ = frozen.submit(source.as_str(), Engine::MachineS).wait();
-    }
+    // The baseline is a non-promoting pool whose workers each serve
+    // exactly their round-robin share: four one-worker pools, the
+    // w-th taking jobs w, w + 4, w + 8, .... In one four-worker pool
+    // a worker that has just finished can steal the jobs meant for
+    // its siblings, and a run in which one worker served everything
+    // interns each drifted node once instead of once per worker.
+    let frozen_overlay: u64 = (0..4)
+        .map(|worker| {
+            let frozen = SessionPool::builder()
+                .workers(1)
+                .default_fuel(FUEL)
+                .no_promotion()
+                .build()
+                .expect("builds");
+            for source in batch.iter().skip(worker).step_by(4) {
+                let _ = frozen.submit(source.as_str(), Engine::MachineS).wait();
+            }
+            let stats = frozen.shutdown();
+            stats.local_coercion_nodes() + stats.local_type_nodes()
+        })
+        .sum();
 
     let promoting_stats = promoting.shutdown();
-    let frozen_stats = frozen.shutdown();
     assert!(promoting_stats.promotions >= 1, "{promoting_stats}");
 
     // Steady state after every rotation: by the second half of each
@@ -535,7 +546,6 @@ fn promotion_recovers_the_base_hit_rate_and_cuts_overlay_interning() {
     // not forgotten.)
     let promoted_overlay =
         promoting_stats.local_coercion_nodes() + promoting_stats.local_type_nodes();
-    let frozen_overlay = frozen_stats.local_coercion_nodes() + frozen_stats.local_type_nodes();
     assert!(
         promoted_overlay < frozen_overlay,
         "promoting pool interned {promoted_overlay} overlay nodes, \
