@@ -3,12 +3,20 @@
 //! including the end-to-end compile+run, pool-throughput, drift,
 //! promotion-cost, tier-overhead, scheduler-fairness, and
 //! observability-overhead numbers) alongside the human output. CI
-//! diffs the checked-in `BENCH_10.json` against its predecessor
-//! `BENCH_9.json` with the `bench_diff` binary and fails on >25%
-//! regression of any shared timing key.
+//! diffs the two highest-numbered checked-in `BENCH_*.json` files
+//! with the `bench_diff` binary and fails on >25% regression of any
+//! shared timing key.
 //!
 //! ```sh
 //! cargo run -p bc-bench --bin report --release
+//! ```
+//!
+//! Naming tables runs only those, in the order of the full run, and
+//! writes no JSON (a subset would overwrite the BENCH file with a
+//! partial key set):
+//!
+//! ```sh
+//! cargo run --release -p bc-bench --bin report -- e29 e23
 //! ```
 
 use std::sync::Arc;
@@ -34,23 +42,43 @@ use blame_coercion::{Engine, PromotionPolicy, Session, SessionPool};
 /// Collected `(key, value)` measurements for the JSON report.
 type Metrics = Vec<(String, f64)>;
 
+/// An experiment table: prints itself and pushes its BENCH keys.
+type Table = fn(&mut Metrics);
+
+/// Every table, by its name on the command line, in run order.
+const TABLES: [(&str, Table); 14] = [
+    ("e15", space_table),
+    ("e16", compose_table),
+    ("e10", steps_table),
+    ("e11", height_table),
+    ("e21", frontend_table),
+    ("e22", capacity_table),
+    ("e20", end_to_end_table),
+    ("e25", compile_run_table),
+    ("e23", pool_table),
+    ("e26", drift_table),
+    ("e28", promotion_cost_table),
+    ("e27", fairness_table),
+    ("e24", tier_table),
+    ("e29", obs_table),
+];
+
 fn main() {
+    let names: Vec<String> = std::env::args().skip(1).map(|a| a.to_lowercase()).collect();
+    if let Some(unknown) = names.iter().find(|n| TABLES.iter().all(|(t, _)| t != n)) {
+        let known: Vec<&str> = TABLES.iter().map(|(t, _)| *t).collect();
+        eprintln!("unknown table `{unknown}`; tables: {}", known.join(" "));
+        std::process::exit(2);
+    }
     let mut metrics = Metrics::new();
-    space_table();
-    compose_table(&mut metrics);
-    steps_table();
-    height_table();
-    frontend_table(&mut metrics);
-    capacity_table(&mut metrics);
-    end_to_end_table(&mut metrics);
-    compile_run_table(&mut metrics);
-    pool_table(&mut metrics);
-    drift_table(&mut metrics);
-    promotion_cost_table(&mut metrics);
-    fairness_table(&mut metrics);
-    tier_table(&mut metrics);
-    obs_table(&mut metrics);
-    write_json("BENCH_10.json", &metrics);
+    for (name, table) in TABLES {
+        if names.is_empty() || names.iter().any(|n| n == name) {
+            table(&mut metrics);
+        }
+    }
+    if names.is_empty() {
+        write_json("BENCH_10.json", &metrics);
+    }
 }
 
 /// Median wall-clock of `reps` runs of `f`, in nanoseconds.
@@ -786,7 +814,7 @@ fn tier_table(metrics: &mut Metrics) {
 }
 
 /// E15: the space series — peak cast/coercion frames versus n.
-fn space_table() {
+fn space_table(_: &mut Metrics) {
     println!("## E15 — machine space on even/odd across a typed/untyped boundary");
     println!();
     println!("| n | λB peak cast frames | λC peak coercion frames | λS peak coercion frames | λS peak coercion size |");
@@ -1026,7 +1054,7 @@ fn capacity_table(metrics: &mut Metrics) {
 
 /// E10/E19: step counts — λB:λC is exactly 1:1 (lockstep), λC:λS is
 /// within a constant factor.
-fn steps_table() {
+fn steps_table(_: &mut Metrics) {
     println!("## E10/E19 — step counts per workload (lockstep and alignment)");
     println!();
     println!("| workload | λB steps | λC steps | λS steps | λB:λC | λC:λS |");
@@ -1053,7 +1081,7 @@ fn steps_table() {
 }
 
 /// E11: observed height/size bounds under composition.
-fn height_table() {
+fn height_table(_: &mut Metrics) {
     println!("## E11 — height preservation and size bounds under `#`");
     println!();
     println!("| height bound | pairs | max ‖s#t‖ | max size(s#t) | 3·(2^h − 1) |");
