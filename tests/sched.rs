@@ -347,6 +347,24 @@ fn bounded_queues_reject_typed_and_recover_on_resolution() {
     pool.shutdown();
 }
 
+#[test]
+fn a_resolved_job_no_longer_counts_against_queue_capacity() {
+    // A job whose handle has resolved is no longer in flight, so the
+    // next submission to its worker must be accepted even at
+    // capacity 1. The capacity used to be released after the waiter
+    // was woken, and a submitter that ran first was refused.
+    let pool = SessionPool::builder()
+        .workers(1)
+        .queue_capacity(1)
+        .build()
+        .expect("no warmup to fail");
+    for k in 0..5_000 {
+        let result = pool.submit(format!("{k} + 1"), Engine::MachineS).wait();
+        assert!(result.is_ok(), "job {k} after a resolved one: {result:?}");
+    }
+    pool.shutdown();
+}
+
 fn monotone(label: &str, before: u64, after: u64) {
     assert!(
         after >= before,
