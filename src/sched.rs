@@ -141,8 +141,9 @@ struct JobCell {
     callback: Option<ReadyCallback>,
     canceled: bool,
     /// The submission queue's in-flight counter, decremented exactly
-    /// once — at resolution — so bounded-queue backpressure tracks
-    /// jobs the pool still owes an answer, not just queued ones.
+    /// once — at resolution, before any waiter can see the result — so
+    /// bounded-queue backpressure tracks jobs the pool still owes an
+    /// answer, not just queued ones.
     inflight: Option<Arc<AtomicUsize>>,
 }
 
@@ -192,20 +193,22 @@ impl JobState {
     /// dropped (a worker replying to a job the submitter already
     /// canceled, the drop backstop firing after a real reply).
     pub(crate) fn resolve(&self, result: Result<JobOutput, JobError>) {
-        let (callback, result_for_callback, inflight) = {
+        let (callback, result_for_callback) = {
             let mut cell = self.lock();
             if cell.result.is_some() {
                 return;
             }
+            // Under the lock, so a submitter that sees this job resolved
+            // also sees its capacity released.
+            if let Some(counter) = cell.inflight.take() {
+                counter.fetch_sub(1, Ordering::AcqRel);
+            }
             let callback = cell.callback.take();
             let for_callback = callback.as_ref().map(|_| result.clone());
             cell.result = Some(result);
-            (callback, for_callback, cell.inflight.take())
+            (callback, for_callback)
         };
         self.ready.notify_all();
-        if let Some(counter) = inflight {
-            counter.fetch_sub(1, Ordering::AcqRel);
-        }
         // Outside the lock: a callback is arbitrary user code and may
         // itself poke the handle.
         if let Some(callback) = callback {
