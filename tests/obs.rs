@@ -433,12 +433,8 @@ fn exposition_and_stats_agree_after_quiescing() {
 
     // Round-robin dispatch alternates the two workers: two spinners
     // go to one, a deadline spinner and a value to the other, and the
-    // fifth submission lands on the first again. Each handle's result
-    // is tallied rather than predicted, because a resolved job's
-    // capacity can be released after its waiter wakes, so any of
-    // these may be refused early. A rejection is certain, though:
-    // either a spinner is refused, or the first and third hold their
-    // worker's capacity and the fifth submission is.
+    // fifth submission lands on the first again, which is at its
+    // capacity of two and refuses it.
     let spin =
         |deadline| pool.submit_with_options(SPINNER, Engine::MachineS, Some(u64::MAX), deadline);
     let spinners = [
@@ -471,7 +467,7 @@ fn exposition_and_stats_agree_after_quiescing() {
             other => panic!("a spinner never finishes: {other:?}"),
         }
     }
-    assert!(rejected >= 1, "one of the two workers was full");
+    assert_eq!((rejected, missed, canceled), (1, 1, 2));
 
     // Quiesce: cancellations are counted at the worker's next slice
     // boundary, so wait for them. A promotion may still be finishing
