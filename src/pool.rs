@@ -1440,8 +1440,9 @@ impl PoolShared {
             .inc();
         if let Some(session) = session {
             self.jobs_since_promotion.fetch_add(1, Ordering::Relaxed);
+            let stats = session.stats();
             let mut slot = lock(&self.slots[worker]);
-            (slot.stats, slot.epoch) = (Some(session.stats()), epoch);
+            (slot.stats, slot.epoch) = (Some(stats), epoch);
         }
         if let Some(obs) = &self.obs {
             obs.resolved(audit_record(worker, epoch, &job, steps, &result));
@@ -1612,7 +1613,7 @@ impl Worker {
     }
 
     fn run(mut self) {
-        self.cells().dead.store(false, Ordering::Release);
+        self.cells().dead.store(false, Ordering::Relaxed);
         loop {
             let incoming = if self.run_queue.is_empty() {
                 match self.shared.next_job(self.index) {
@@ -1717,7 +1718,7 @@ impl Worker {
             }
             self.cells()
                 .parked_depth
-                .store(self.run_queue.len(), Ordering::Release);
+                .store(self.run_queue.len(), Ordering::Relaxed);
         }
     }
 
@@ -1767,8 +1768,8 @@ impl Worker {
     /// them from step zero by spec, at-least-once for a language with
     /// no side effects to repeat), and respawns.
     fn die(self, job: Job) {
-        self.cells().dead.store(true, Ordering::Release);
-        self.cells().parked_depth.store(0, Ordering::Release);
+        self.cells().dead.store(true, Ordering::Relaxed);
+        self.cells().parked_depth.store(0, Ordering::Relaxed);
         self.resolve(job, 0, Err(JobError::WorkerPanicked));
         self.shared.retire(self.index, &self.session);
         if !self.run_queue.is_empty() {
@@ -2071,9 +2072,9 @@ impl SessionPool {
     /// whose handle resolved before the call is counted, and a later
     /// snapshot dominates an earlier one — see the
     /// [consistency contract](PoolStats#consistency-contract). Jobs in
-    /// flight are not yet counted. Reading takes each worker's slot
-    /// and queue lock briefly, one worker at a time, and never stalls
-    /// serving.
+    /// flight are not yet counted. The read holds each worker's slot
+    /// and deque lock for one copy, one worker at a time; the counters
+    /// themselves are read without a lock.
     pub fn stats(&self) -> PoolStats {
         let counters = &self.shared.counters;
         let workers = counters
@@ -2096,8 +2097,8 @@ impl SessionPool {
                     preemptions: cells.preemptions.get(),
                     deadline_misses: outcome(AuditOutcome::DeadlineExceeded),
                     cancellations: outcome(AuditOutcome::Canceled),
-                    parked_depth: cells.parked_depth.load(Ordering::Acquire),
-                    dead: cells.dead.load(Ordering::Acquire),
+                    parked_depth: cells.parked_depth.load(Ordering::Relaxed),
+                    dead: cells.dead.load(Ordering::Relaxed),
                     queue_depth: lock(&self.shared.queues[worker].deque).len(),
                     session: slot.stats,
                     retired: slot.retired,
