@@ -86,6 +86,11 @@ impl PoolCounters {
             promotion_ns: Arc::default(),
         }
     }
+
+    /// One cell from every worker: the cells one series sums.
+    fn per_worker(&self, cell: impl Fn(&WorkerCells) -> &Arc<Counter>) -> Vec<Arc<Counter>> {
+        self.workers.iter().map(|w| Arc::clone(cell(w))).collect()
+    }
 }
 
 /// The registry, the job histograms, the polled gauges and the audit
@@ -111,23 +116,12 @@ pub(crate) struct PoolObs {
 impl PoolObs {
     pub(crate) fn new(counters: &PoolCounters, audit_capacity: usize) -> PoolObs {
         let registry = Registry::new();
-        let per_worker = |cell: fn(&WorkerCells) -> &Arc<Counter>| -> Vec<Arc<Counter>> {
-            counters
-                .workers
-                .iter()
-                .map(|w| Arc::clone(cell(w)))
-                .collect()
-        };
         for outcome in AuditOutcome::ALL {
             registry.attach_counter(
                 "bc_jobs_total",
                 "Jobs resolved, by outcome.",
                 &[("outcome", outcome.as_str())],
-                &counters
-                    .workers
-                    .iter()
-                    .map(|w| Arc::clone(w.outcome(outcome)))
-                    .collect::<Vec<_>>(),
+                &counters.per_worker(|w| w.outcome(outcome)),
             );
         }
         let sink = AuditSink::new(audit_capacity);
@@ -135,17 +129,17 @@ impl PoolObs {
             (
                 "bc_slices_total",
                 "Scheduling turns executed (one job, up to one slice budget of steps).",
-                per_worker(|w| &w.slices),
+                counters.per_worker(|w| &w.slices),
             ),
             (
                 "bc_preemptions_total",
                 "Slices that ended with the job parked rather than finished.",
-                per_worker(|w| &w.preemptions),
+                counters.per_worker(|w| &w.preemptions),
             ),
             (
                 "bc_steals_total",
                 "Jobs claimed from a sibling worker's queue.",
-                per_worker(|w| &w.steals),
+                counters.per_worker(|w| &w.steals),
             ),
             (
                 "bc_promotions_total",
@@ -160,7 +154,7 @@ impl PoolObs {
             (
                 "bc_sessions_retired_total",
                 "Worker sessions retired (epoch adoptions + panic recoveries).",
-                per_worker(|w| &w.sessions_retired),
+                counters.per_worker(|w| &w.sessions_retired),
             ),
             (
                 "bc_audit_dropped_total",

@@ -1616,11 +1616,11 @@ impl Worker {
         self.cells().dead.store(false, Ordering::Relaxed);
         loop {
             let incoming = if self.run_queue.is_empty() {
-                match self.shared.next_job(self.index) {
-                    Some(job) => Some(job),
-                    // Closed, every queue drained, nothing parked: done.
-                    None => return,
-                }
+                // `None`: closed, every queue drained, nothing parked.
+                let Some(job) = self.shared.next_job(self.index) else {
+                    return;
+                };
+                Some(job)
             } else {
                 self.shared.try_claim(self.index)
             };
