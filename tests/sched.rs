@@ -351,8 +351,7 @@ fn bounded_queues_reject_typed_and_recover_on_resolution() {
 fn a_resolved_job_no_longer_counts_against_queue_capacity() {
     // A job whose handle has resolved is no longer in flight, so the
     // next submission to its worker must be accepted even at
-    // capacity 1. The capacity used to be released after the waiter
-    // was woken, and a submitter that ran first was refused.
+    // capacity 1, however soon the submitter runs after waking.
     let pool = SessionPool::builder()
         .workers(1)
         .queue_capacity(1)
