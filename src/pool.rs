@@ -288,7 +288,8 @@ pub enum JobError {
         /// Machine steps the job had executed when the miss was
         /// detected (zero if the deadline passed while still queued).
         steps: u64,
-        /// Wall-clock time from submission to detection.
+        /// Wall-clock time from submission to the reply reporting
+        /// the miss.
         elapsed: Duration,
     },
     /// The submitter called [`JobHandle::cancel`] before the job
@@ -1425,7 +1426,8 @@ impl PoolShared {
     /// and the audit record, and only then replies — so a caller that
     /// sees the job resolve through its handle finds it counted in
     /// [`SessionPool::stats`] too. `steps` is the work done when the
-    /// result does not carry its own count.
+    /// result does not carry its own count; the result's end-to-end
+    /// `elapsed` is stamped here, at the reply.
     fn resolve(
         &self,
         worker: usize,
@@ -1447,7 +1449,16 @@ impl PoolShared {
         if let Some(obs) = &self.obs {
             obs.resolved(audit_record(worker, epoch, &job, steps, &result));
         }
-        job.reply.resolve(result);
+        // Stamped last, so the time covers everything the submitter
+        // waited for, this bookkeeping included.
+        let elapsed = job.submitted.elapsed();
+        job.reply.resolve(match result {
+            Ok(out) => Ok(JobOutput { elapsed, ..out }),
+            Err(JobError::DeadlineExceeded { steps, .. }) => {
+                Err(JobError::DeadlineExceeded { steps, elapsed })
+            }
+            other => other,
+        });
     }
 
     /// Folds the session's counters into the worker's retired totals
@@ -1648,8 +1659,10 @@ impl Worker {
                     // this drops the worker's side.
                     self.resolve(job, 0, Err(JobError::Canceled));
                 } else if job.expired() {
-                    let elapsed = job.submitted.elapsed();
-                    let missed = JobError::DeadlineExceeded { steps: 0, elapsed };
+                    let missed = JobError::DeadlineExceeded {
+                        steps: 0,
+                        elapsed: Duration::ZERO,
+                    };
                     self.resolve(job, 0, Err(missed));
                 } else {
                     // Admission is the first unwind boundary: it runs
@@ -1681,9 +1694,11 @@ impl Worker {
                 if job.reply.is_canceled() {
                     self.resolve(job, run.steps(), Err(JobError::Canceled));
                 } else if job.expired() {
-                    let steps = run.steps();
-                    let elapsed = job.submitted.elapsed();
-                    self.resolve(job, 0, Err(JobError::DeadlineExceeded { steps, elapsed }));
+                    let missed = JobError::DeadlineExceeded {
+                        steps: run.steps(),
+                        elapsed: Duration::ZERO,
+                    };
+                    self.resolve(job, 0, Err(missed));
                 } else {
                     // The slice is the other unwind boundary (machine
                     // steps run job-determined work too).
@@ -1693,7 +1708,6 @@ impl Worker {
                     match sliced {
                         Ok(SliceOutcome::Done(result)) => {
                             self.cells().slices.inc();
-                            let elapsed = job.submitted.elapsed();
                             let result = result
                                 .map(|report| JobOutput {
                                     observation: report.observation,
@@ -1701,7 +1715,7 @@ impl Worker {
                                     metrics: report.metrics,
                                     worker: self.index,
                                     compiled,
-                                    elapsed,
+                                    elapsed: Duration::ZERO,
                                 })
                                 .map_err(JobError::Run);
                             self.resolve(job, 0, result);
